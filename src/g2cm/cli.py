@@ -16,12 +16,13 @@ import random
 import sys
 
 from .cm_field import FrobeniusElement, validate_field
-from .errors import G2CMError
+from .errors import G2CMError, InvalidArgumentError
 from .frobenius import char_poly_closed, char_poly_product, group_order, weil_validate
 from .oracle import (
     DEFAULT_BUDGET,
     GenusTwoCurve,
     char_poly_from_counts,
+    check_odd_prime,
     count_points,
     enumerate_jacobian,
     poly_derivative,
@@ -48,7 +49,17 @@ def _poly_payload(P) -> dict:
 
 def _budget() -> int:
     raw = os.environ.get("CM2_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise InvalidArgumentError(
+            f"CM2_BUDGET must be a positive integer, got {raw!r}"
+        )
+    return budget
 
 
 def _parse_c(raw: str) -> tuple[int, int, int, int]:
@@ -192,6 +203,13 @@ def _all_squarefree_quintics(p: int):
 
 
 def cmd_scan(args) -> tuple[dict, int]:
+    check_odd_prime(args.p)
+    total = (args.p - 1) * (args.p ** 5 - args.p ** 4)  # squarefree quintics
+    if not args.all and not 1 <= args.count <= total:
+        raise InvalidArgumentError(
+            f"--count must be between 1 and {total}, the number of "
+            f"squarefree quintics at p = {args.p}, got {args.count}"
+        )
     budget = _budget()
     if args.all:
         curves = _all_squarefree_quintics(args.p)

@@ -49,6 +49,12 @@ class InvalidCurveError(G2CMError):
     code = "invalid-curve"
 
 
+class InvalidArgumentError(G2CMError):
+    """A command-line option or environment setting out of range."""
+
+    code = "invalid-argument"
+
+
 class BudgetExceededError(G2CMError):
     code = "budget-exceeded"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import sympy
 
-from .errors import BudgetExceededError, InvalidCurveError
+from .errors import BudgetExceededError, InternalInvariantError, InvalidCurveError
 from .frobenius import FrobeniusPoly
 
 Poly = tuple[int, ...]
@@ -125,6 +125,12 @@ def poly_derivative(a: Poly, p: int) -> Poly:
 
 # ------------------------------------------------------------------ curve
 
+def check_odd_prime(p: int) -> None:
+    """Raise InvalidCurveError unless p is an odd prime."""
+    if p < 3 or not sympy.isprime(p):
+        raise InvalidCurveError(f"p must be an odd prime, got {p}")
+
+
 @dataclass(frozen=True)
 class GenusTwoCurve:
     """y² = f(x) over F_p with f squarefree of degree 5 or 6, p odd."""
@@ -133,8 +139,7 @@ class GenusTwoCurve:
     f: Poly
 
     def __post_init__(self) -> None:
-        if self.p < 3 or not sympy.isprime(self.p):
-            raise InvalidCurveError(f"p must be an odd prime, got {self.p}")
+        check_odd_prime(self.p)
         f = _trim([c % self.p for c in self.f])
         object.__setattr__(self, "f", f)
         if len(f) - 1 not in (5, 6):
@@ -156,12 +161,12 @@ def smallest_non_residue(p: int) -> int:
     raise ValueError(f"no quadratic non-residue mod {p}")
 
 
-def _sqrt_counts_fp(p: int) -> list[int]:
-    """counts[z] = number of y in F_p with y² = z."""
-    counts = [0] * p
+def _sqrt_table(p: int) -> list[list[int]]:
+    """roots[z] = the y in F_p with y² = z, ascending."""
+    roots: list[list[int]] = [[] for _ in range(p)]
     for y in range(p):
-        counts[y * y % p] += 1
-    return counts
+        roots[y * y % p].append(y)
+    return roots
 
 
 def count_points(curve: GenusTwoCurve, k: int) -> int:
@@ -175,7 +180,7 @@ def count_points(curve: GenusTwoCurve, k: int) -> int:
     p, f = curve.p, curve.f
     lead = f[-1]
     if k == 1:
-        counts = _sqrt_counts_fp(p)
+        counts = [len(r) for r in _sqrt_table(p)]
         total = sum(counts[poly_eval(f, x, p)] for x in range(p))
         return total + (1 if curve.degree == 5 else counts[lead])
     if k != 2:
@@ -248,6 +253,11 @@ def _on_curve(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:
     return poly_mod(poly_sub(vv, curve.f, curve.p), d.u, curve.p) == ()
 
 
+def _check_exact(rem: Poly) -> None:
+    if rem:
+        raise InternalInvariantError(f"Cantor division left remainder {rem}")
+
+
 def _compose_reduce(d1: MumfordDivisor, d2: MumfordDivisor,
                     curve: GenusTwoCurve) -> MumfordDivisor:
     p, f = curve.p, curve.f
@@ -260,18 +270,18 @@ def _compose_reduce(d1: MumfordDivisor, d2: MumfordDivisor,
     s2 = poly_mul(c1, e2, p)
     s3 = c2
     u, rem = poly_divmod(poly_mul(u1, u2, p), poly_mul(d, d, p), p)
-    assert rem == ()
+    _check_exact(rem)
     num = poly_add(
         poly_add(poly_mul(s1, poly_mul(u1, v2, p), p),
                  poly_mul(s2, poly_mul(u2, v1, p), p), p),
         poly_mul(s3, poly_add(poly_mul(v1, v2, p), f, p), p), p)
     v, rem = poly_divmod(num, d, p)
-    assert rem == ()
+    _check_exact(rem)
     v = poly_mod(v, u, p)
     # reduction to deg u <= 2
     while len(u) - 1 > 2:
         u, rem = poly_divmod(poly_sub(f, poly_mul(v, v, p), p), u, p)
-        assert rem == ()
+        _check_exact(rem)
         u = poly_monic(u, p)
         v = poly_mod(poly_neg(v, p), u, p)
     return MumfordDivisor(u=poly_monic(u, p), v=v)
@@ -299,39 +309,70 @@ def _scalar_mul(k: int, d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivis
     base = d
     while k:
         if k & 1:
-            acc = _compose_reduce(acc, base, curve)
+            # base is reduced, so identity + base needs no composition
+            acc = base if acc.is_identity() else _compose_reduce(acc, base, curve)
         k >>= 1
         if k:
             base = _compose_reduce(base, base, curve)
     return acc
 
 
+def _v_solutions(u1: int, u0: int, fm1: int, fm0: int, p: int,
+                 roots: list[list[int]], inv: list[int]) -> list[tuple[int, int]]:
+    """All (v1, v0) with (v1x + v0)² ≡ fm1x + fm0 (mod x² + u1x + u0).
+
+    ``roots`` is ``_sqrt_table(p)`` and ``inv[z]`` the inverse of z ≠ 0.
+
+    With x² ≡ −u1x − u0 the congruence reads
+        2·v1·v0 − w·u1 = fm1,   v0² − w·u0 = fm0,   w = v1².
+    v1 = 0 forces fm1 = 0 and v0² = fm0.  For v1 ≠ 0, v0 = (fm1 + w·u1)/(2v1)
+    and eliminating v0 leaves (u1² − 4u0)w² + (2·fm1·u1 − 4·fm0)w + fm1² = 0.
+    """
+    out = [(0, v0) for v0 in roots[fm0]] if fm1 == 0 else []
+    a = (u1 * u1 - 4 * u0) % p
+    b = (2 * fm1 * u1 - 4 * fm0) % p
+    c = fm1 * fm1 % p
+    if a:
+        disc = (b * b - 4 * a * c) % p
+        inv_2a = inv[2 * a % p]
+        ws = {(r - b) * inv_2a % p for r in roots[disc]}
+    elif b:
+        ws = {-c * inv[b] % p}
+    else:
+        # u = (x + u1/2)²: every w solves if f ≡ 0 (mod u), none otherwise
+        ws = set() if c else set(range(1, p))
+    for w in ws:
+        for v1 in roots[w]:
+            if v1:
+                out.append((v1, (fm1 + w * u1) * inv[2 * v1 % p] % p))
+    return sorted(out)
+
+
 def enumerate_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
-    """All reduced Mumford divisors on a degree-5 curve."""
+    """All reduced Mumford divisors on a degree-5 curve, in O(p²) steps.
+
+    For each monic u of degree ≤ 2 the v with v² ≡ f (mod u) are solved
+    for directly: square roots of f(a) for u = x − a, and the quadratic
+    of ``_v_solutions`` for u = x² + u1x + u0.
+    """
     p, f = curve.p, curve.f
+    roots = _sqrt_table(p)
+    inv = [0] + [pow(z, -1, p) for z in range(1, p)]
     out = [IDENTITY]
-    counts = _sqrt_counts_fp(p)
     for a in range(p):
-        fa = poly_eval(f, a, p)
-        for b in range(p):
-            if b * b % p == fa:
-                out.append(MumfordDivisor(u=((-a) % p, 1), v=(b,) if b else ()))
-    # deg u = 2: u = x² + u1x + u0; f mod u is linear, v = v1x + v0 must
-    # satisfy v² ≡ f (mod u), i.e. with x² ≡ −u1x − u0:
-    #   2·v1·v0 − v1²·u1 = (f mod u)[1],  v0² − v1²·u0 = (f mod u)[0]
+        for b in roots[poly_eval(f, a, p)]:
+            out.append(MumfordDivisor(u=((-a) % p, 1), v=(b,) if b else ()))
+    top = tuple(reversed(f))
     for u1 in range(p):
         for u0 in range(p):
+            # f mod u by Horner on r = r1x + r0:
+            #   r·x + c ≡ (r0 − r1u1)x + (c − r1u0)
+            r1 = r0 = 0
+            for c in top:
+                r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
             u = (u0, u1, 1)
-            fm = poly_mod(f, u, p)
-            fm0 = fm[0] if len(fm) > 0 else 0
-            fm1 = fm[1] if len(fm) > 1 else 0
-            for v1 in range(p):
-                w1 = v1 * v1 % p
-                t1 = w1 * u1 % p
-                t0 = w1 * u0 % p
-                for v0 in range(p):
-                    if (2 * v1 * v0 - t1) % p == fm1 and (v0 * v0 - t0) % p == fm0:
-                        out.append(MumfordDivisor(u=u, v=_trim([v0, v1])))
+            for v1, v0 in _v_solutions(u1, u0, r1, r0, p, roots, inv):
+                out.append(MumfordDivisor(u=u, v=_trim([v0, v1])))
     return out
 
 
@@ -362,48 +403,68 @@ def p_sylow_structure(invariant_factors: tuple[int, ...] | list[int],
     return out
 
 
-def _element_order(d: MumfordDivisor, N: int, curve: GenusTwoCurve,
-                   n_factors: dict[int, int]) -> int:
-    """Order of d given that it divides N = |Jac|."""
-    order = N
-    for q in n_factors:
-        while order % q == 0 and _scalar_mul(order // q, d, curve).is_identity():
-            order //= q
-    return order
+def _torsion_counts(elements: list[MumfordDivisor], q: int, e: int,
+                    curve: GenusTwoCurve) -> list[int]:
+    """[#G[q], #G[q²], …] up to the first count equal to q^e, at most e.
 
-
-def _invariant_factors(orders: list[int], N: int) -> tuple[int, ...]:
-    """Invariant factors from the multiset of element orders.
-
-    Peels cyclic factors greedily, largest first: the exponent of the
-    remaining part is the smallest m whose "order divides m" count,
-    corrected for the factors already peeled, equals the remaining
-    group order.
+    Computes D ↦ q·D once per element; the higher powers are dict lookups.
     """
-    exponent = max(orders)
-    divs = [int(d) for d in sympy.divisors(exponent)]
-    killed = {m: sum(1 for o in orders if m % o == 0) for m in divs}
-    factors = []
-    remaining = N
-    while remaining > 1:
-        lam = min(m for m in divs if killed[m] == remaining)
-        factors.append(lam)
-        remaining //= lam
-        for m in divs:
-            killed[m] //= math.gcd(m, lam)
-    prod = math.prod(factors) if factors else 1
-    if prod != N:
-        raise InvalidCurveError(
-            f"structure recovery failed: product {prod} != order {N}"
-        )
-    return tuple(sorted(factors))
+    times_q = {d: _scalar_mul(q, d, curve) for d in elements}
+    if any(d not in times_q for d in times_q.values()):
+        raise InternalInvariantError(f"{q}·D left the enumerated set")
+    counts: list[int] = []
+    images = elements
+    while len(counts) < e and (not counts or counts[-1] != q ** e):
+        images = [times_q[d] for d in images]
+        counts.append(sum(1 for d in images if d.is_identity()))
+    return counts
+
+
+def _invariant_factors_from_torsion(
+        n_factors: dict[int, int],
+        torsion: dict[int, list[int]]) -> tuple[int, ...]:
+    """Invariant factors of the abelian group of order ∏ q^e, ascending.
+
+    ``n_factors`` maps each prime q | N to its exponent e.  ``torsion[q]``
+    lists #G[q^k] for k = 1, 2, … for every q with e ≥ 2, ending at the
+    first #G[q^k] = q^e; a prime with e = 1 contributes Z/q.  The rank
+    log_q(#G[q^k] / #G[q^(k−1)]) is the number of cyclic factors of
+    order ≥ q^k, which gives the q-parts of the factors; the i-th largest
+    invariant factor is the product over q of the i-th largest q-part.
+    """
+    q_parts = []
+    for q, e in n_factors.items():
+        logs = [0]  # log_q #G[q^k] for k = 0, 1, …; −1 if not a power of q
+        for n in (torsion[q] if e > 1 else [q]):
+            k = 0
+            while n > 1 and n % q == 0:
+                n, k = n // q, k + 1
+            logs.append(k if n == 1 else -1)
+        ranks = [b - a for a, b in zip(logs, logs[1:])]
+        if (logs[-1] != e or not ranks or min(ranks) < 1
+                or ranks != sorted(ranks, reverse=True)):
+            raise InternalInvariantError(
+                f"#G[{q}^k] = {torsion.get(q, [q])} are not the torsion counts "
+                f"of an abelian group with {q}-part {q ** e}"
+            )
+        # the i-th largest cyclic q-factor has order q^#{k : ranks[k] > i}
+        q_parts.append([q ** sum(1 for r in ranks if r > i)
+                        for i in range(ranks[0])])
+    width = max((len(parts) for parts in q_parts), default=0)
+    return tuple(sorted(
+        math.prod(parts[i] for parts in q_parts if i < len(parts))
+        for i in range(width)
+    ))
 
 
 def enumerate_jacobian(curve: GenusTwoCurve,
                        budget: int = DEFAULT_BUDGET) -> GroupStructure:
     """Full group structure of Jac(C)(F_p) by exhaustive enumeration.
 
-    Requires the degree-5 model and (√p + 1)⁴ within the budget.
+    The order is the number of enumerated divisors; the structure comes
+    from q^k-torsion counts for the primes q with q² | N, so a squarefree
+    order costs no group operation.  Requires the degree-5 model and
+    (√p + 1)⁴ within the budget.
     """
     if curve.degree != 5:
         raise InvalidCurveError(
@@ -418,9 +479,10 @@ def enumerate_jacobian(curve: GenusTwoCurve,
         )
     elements = enumerate_divisors(curve)
     N = len(elements)
-    n_factors = {int(q): e for q, e in sympy.factorint(N).items()}
-    orders = [_element_order(d, N, curve, n_factors) for d in elements]
-    inv = _invariant_factors(orders, N)
+    n_factors = {int(q): int(e) for q, e in sympy.factorint(N).items()}
+    torsion = {q: _torsion_counts(elements, q, e, curve)
+               for q, e in n_factors.items() if e > 1}
+    inv = _invariant_factors_from_torsion(n_factors, torsion)
     return GroupStructure(
         order=N,
         invariant_factors=inv,

@@ -125,6 +125,17 @@ class TestOracleCommand:
         assert code == 2
         assert env["error"]["code"] == "budget-exceeded"
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+    @pytest.mark.parametrize("command", ["oracle", "scan"])
+    def test_invalid_budget_env(self, capsys, monkeypatch, raw, command):
+        monkeypatch.setenv("CM2_BUDGET", raw)
+        argv = (["oracle", "-p", "3", "--coeffs", "1,0,0,0,0,1"]
+                if command == "oracle" else ["scan", "-p", "3", "--count", "1"])
+        code, env = run_cli(capsys, *argv)
+        assert code == 2
+        assert env["status"] == "error"
+        assert env["error"]["code"] == "invalid-argument"
+
 
 class TestScanCommand:
     def test_small_scan(self, capsys):
@@ -133,6 +144,24 @@ class TestScanCommand:
         r = env["results"]
         assert r["curves_checked"] == 5
         assert r["all_match"] is True
+
+    @pytest.mark.parametrize("p", ["1", "4", "9", "2", "-7"])
+    def test_p_not_an_odd_prime(self, capsys, p):
+        code, env = run_cli(capsys, "scan", "-p", p)
+        assert code == 2
+        assert env["error"]["code"] == "invalid-curve"
+
+    @pytest.mark.parametrize("count", ["1000", "325", "0", "-1"])
+    def test_count_out_of_range(self, capsys, count):
+        # (p − 1)(p⁵ − p⁴) = 324 squarefree quintics exist at p = 3
+        code, env = run_cli(capsys, "scan", "-p", "3", "--count", count)
+        assert code == 2
+        assert env["error"]["code"] == "invalid-argument"
+
+    def test_count_up_to_every_curve(self, capsys):
+        code, env = run_cli(capsys, "scan", "-p", "3", "--count", "324")
+        assert code == 0
+        assert env["results"]["curves_checked"] == 324
 
 
 class TestEnvelopeContract:

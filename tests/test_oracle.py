@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2cm import (
     GenusTwoCurve,
@@ -17,16 +23,31 @@ from g2cm import (
     p_sylow_structure,
     weil_validate,
 )
-from g2cm.errors import BudgetExceededError, InvalidCurveError
+from g2cm.cli import _all_squarefree_quintics
+from g2cm.errors import (
+    BudgetExceededError,
+    InternalInvariantError,
+    InvalidCurveError,
+)
 from g2cm.oracle import (
+    IDENTITY,
+    _compose_reduce,
+    _invariant_factors_from_torsion,
+    _scalar_mul,
+    _trim,
+    _v_solutions,
     cantor_neg,
     enumerate_divisors,
     poly_derivative,
+    poly_eval,
     poly_gcd,
-    _scalar_mul,
+    poly_mod,
 )
 
 C3 = GenusTwoCurve(p=3, f=(1, 0, 0, 0, 0, 1))     # y² = x⁵ + 1 over F₃
+
+
+ALL_P3 = [GenusTwoCurve(p=3, f=f) for f in _all_squarefree_quintics(3)]
 
 
 def random_squarefree_quintic(p: int, rng: random.Random) -> GenusTwoCurve:
@@ -34,6 +55,101 @@ def random_squarefree_quintic(p: int, rng: random.Random) -> GenusTwoCurve:
         f = tuple(rng.randrange(p) for _ in range(5)) + (rng.randrange(1, p),)
         if len(poly_gcd(f, poly_derivative(f, p), p)) == 1:
             return GenusTwoCurve(p=p, f=f)
+
+
+def divisors_reference(curve: GenusTwoCurve) -> list[MumfordDivisor]:
+    """Every (u, v) tried against v² ≡ f (mod u): O(p⁴) steps."""
+    p, f = curve.p, curve.f
+    out = [IDENTITY]
+    for a in range(p):
+        fa = poly_eval(f, a, p)
+        for b in range(p):
+            if b * b % p == fa:
+                out.append(MumfordDivisor(u=((-a) % p, 1), v=(b,) if b else ()))
+    # deg u = 2: u = x² + u1x + u0; f mod u is linear, v = v1x + v0 must
+    # satisfy v² ≡ f (mod u), i.e. with x² ≡ −u1x − u0:
+    #   2·v1·v0 − v1²·u1 = (f mod u)[1],  v0² − v1²·u0 = (f mod u)[0]
+    for u1 in range(p):
+        for u0 in range(p):
+            u = (u0, u1, 1)
+            fm = poly_mod(f, u, p)
+            fm0 = fm[0] if len(fm) > 0 else 0
+            fm1 = fm[1] if len(fm) > 1 else 0
+            for v1 in range(p):
+                w1 = v1 * v1 % p
+                t1 = w1 * u1 % p
+                t0 = w1 * u0 % p
+                for v0 in range(p):
+                    if (2 * v1 * v0 - t1) % p == fm1 and (v0 * v0 - t0) % p == fm0:
+                        out.append(MumfordDivisor(u=u, v=_trim([v0, v1])))
+    return out
+
+
+def element_order(d: MumfordDivisor, curve: GenusTwoCurve) -> int:
+    """Smallest k ≥ 1 with k·d = 0, by repeated addition."""
+    k, acc = 1, d
+    while not acc.is_identity():
+        acc = cantor_add(acc, d, curve)
+        k += 1
+    return k
+
+
+def abelian_groups(n: int, least: int = 1):
+    """Invariant-factor chains (ascending, each dividing the next) of order
+    n whose factors are multiples of least."""
+    if n == 1:
+        yield ()
+        return
+    for first in sympy.divisors(n):
+        if first > 1 and first % least == 0:
+            yield from ((first,) + rest
+                        for rest in abelian_groups(n // first, first))
+
+
+def order_histogram(factors: tuple[int, ...]) -> Counter:
+    """Counts of element orders in Z/n1 × … × Z/nk."""
+    return Counter(
+        math.lcm(*(n // math.gcd(a, n) for a, n in zip(t, factors)))
+        for t in product(*(range(n) for n in factors))
+    )
+
+
+def torsion_counts(factors: tuple[int, ...], q: int, e: int) -> list[int]:
+    """#G[q^k] for k = 1 … e of G = Z/n1 × … × Z/nk, trimmed like the oracle."""
+    counts = []
+    for k in range(1, e + 1):
+        counts.append(math.prod(math.gcd(q ** k, n) for n in factors))
+        if counts[-1] == q ** e:
+            break
+    return counts
+
+
+def nonsquarefree_curves(p: int, n: int) -> list[GenusTwoCurve]:
+    """The first n seeded curves at p whose group order is not squarefree."""
+    rng, out = random.Random(p), []
+    while len(out) < n:
+        c = random_squarefree_quintic(p, rng)
+        N = group_order(char_poly_from_counts(count_points(c, 1),
+                                              count_points(c, 2), p))
+        if any(e > 1 for e in sympy.factorint(N).values()):
+            out.append(c)
+    return out
+
+
+#: Seeded curves at p = 3, 5, 7 and their divisors, for the group-law
+#: properties: two of non-squarefree order and one random curve each.
+GROUP_LAW = [
+    (c, enumerate_divisors(c))
+    for p in (3, 5, 7)
+    for c in nonsquarefree_curves(p, 2)
+    + [random_squarefree_quintic(p, random.Random(-p))]
+]
+
+
+@st.composite
+def curve_and_divisors(draw, n: int):
+    curve, elems = draw(st.sampled_from(GROUP_LAW))
+    return curve, [draw(st.sampled_from(elems)) for _ in range(n)]
 
 
 class TestCurveValidation:
@@ -234,14 +350,136 @@ class TestPSylowStructure:
         assert p_sylow_structure([2, 14], 7) == [7]
 
     def test_synthetic_c2_x_c14_group(self):
-        # structure recovery from the element orders of C2 × C14
-        import math
+        # structure recovery from the 2-torsion count of C2 × C14
+        two_torsion = sum(1 for i in range(2) for j in range(14)
+                          if 2 * i % 2 == 0 and 2 * j % 14 == 0)
+        assert two_torsion == 4
+        assert _invariant_factors_from_torsion({2: 2, 7: 1},
+                                               {2: [two_torsion]}) == (2, 14)
 
-        from g2cm.oracle import _invariant_factors
 
-        orders = [
-            math.lcm(2 // math.gcd(i, 2), 14 // math.gcd(j, 14))
-            for i in range(2)
-            for j in range(14)
-        ]
-        assert _invariant_factors(orders, 28) == (2, 14)
+class TestEnumerateDivisors:
+    @staticmethod
+    def check(curve):
+        got, want = enumerate_divisors(curve), divisors_reference(curve)
+        assert len(got) == len(set(got))
+        assert set(got) == set(want)
+        return got
+
+    def test_all_quintics_at_three(self):
+        assert len(ALL_P3) == 324
+        for c in ALL_P3:
+            self.check(c)
+
+    def test_seeded_curves(self):
+        rng = random.Random(37)
+        repeated_root = v1_zero = 0
+        for p in (5, 7, 11, 13):
+            for _ in range(3):
+                for d in self.check(random_squarefree_quintic(p, rng)):
+                    if len(d.u) == 3:
+                        u0, u1, _ = d.u
+                        repeated_root += (u1 * u1 - 4 * u0) % p == 0
+                        v1_zero += len(d.v) < 2
+        # both special branches of the solver were reached
+        assert repeated_root and v1_zero
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_v_solutions_brute_force(self, p):
+        roots = [[y for y in range(p) if y * y % p == z] for z in range(p)]
+        inv = [0] + [pow(z, -1, p) for z in range(1, p)]
+        for u1, u0, fm1, fm0 in product(range(p), repeat=4):
+            want = [(v1, v0) for v1 in range(p) for v0 in range(p)
+                    if (2 * v1 * v0 - v1 * v1 * u1 - fm1) % p == 0
+                    and (v0 * v0 - v1 * v1 * u0 - fm0) % p == 0]
+            assert _v_solutions(u1, u0, fm1, fm0, p, roots, inv) == want
+
+
+class TestGroupLaw:
+    """Cantor's law on enumerated divisors; structure recovery trusts it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(curve_and_divisors(1))
+    def test_identity(self, drawn):
+        c, (d,) = drawn
+        assert cantor_add(d, IDENTITY, c) == d == cantor_add(IDENTITY, d, c)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(curve_and_divisors(1))
+    def test_inverse(self, drawn):
+        c, (d,) = drawn
+        assert cantor_add(d, cantor_neg(d, c), c).is_identity()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(curve_and_divisors(2))
+    def test_commutative(self, drawn):
+        c, (d1, d2) = drawn
+        assert cantor_add(d1, d2, c) == cantor_add(d2, d1, c)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(curve_and_divisors(3))
+    def test_associative(self, drawn):
+        c, (d1, d2, d3) = drawn
+        assert (cantor_add(cantor_add(d1, d2, c), d3, c)
+                == cantor_add(d1, cantor_add(d2, d3, c), c))
+
+    def test_group_order_kills_every_divisor(self):
+        for c, elems in GROUP_LAW:
+            N = len(elems)
+            assert all(_scalar_mul(N, d, c).is_identity() for d in elems)
+
+
+class TestStructureFromTorsion:
+    @staticmethod
+    def check(curve):
+        """The torsion route against brute-force element orders."""
+        g = enumerate_jacobian(curve)
+        elems = enumerate_divisors(curve)
+        orders = Counter(element_order(d, curve) for d in elems)
+        matches = [a for a in abelian_groups(len(elems))
+                   if order_histogram(a) == orders]
+        assert matches == [g.invariant_factors]
+        return g
+
+    def test_non_squarefree_orders_at_three(self):
+        curves = [c for c in ALL_P3
+                  if any(e > 1 for e in
+                         sympy.factorint(len(enumerate_divisors(c))).values())]
+        assert len(curves) == 168
+        for c in curves:
+            self.check(c)
+
+    def test_seeded_curves(self):
+        shapes = [self.check(c).invariant_factors
+                  for p in (5, 7) for c in nonsquarefree_curves(p, 3)]
+        assert any(len(inv) > 1 for inv in shapes)
+
+    @pytest.mark.parametrize("factors", [
+        (), (9,), (3, 9), (2, 2, 4, 12), (4, 8, 8), (6, 6), (2, 2, 10),
+        (5, 25, 100),
+    ])
+    def test_synthetic_groups(self, factors):
+        N = math.prod(factors)
+        n_factors = {int(q): e for q, e in sympy.factorint(N).items()}
+        torsion = {q: torsion_counts(factors, q, e)
+                   for q, e in n_factors.items() if e > 1}
+        assert _invariant_factors_from_torsion(n_factors, torsion) == factors
+
+    @pytest.mark.parametrize("n_factors, torsion", [
+        ({2: 2}, {2: [2]}),          # never reaches the 2-part 4
+        ({2: 2}, {2: []}),
+        ({2: 2}, {2: [3, 4]}),       # ratio 3 is not a power of 2
+        ({2: 2}, {2: [4, 4]}),       # continues past the 2-part
+        ({2: 3}, {2: [2, 8]}),       # more factors of order ≥ 4 than ≥ 2
+        ({3: 2}, {3: [0, 9]}),
+        ({2: 1, 3: 2}, {3: [9, 27]}),
+    ])
+    def test_inconsistent_counts(self, n_factors, torsion):
+        with pytest.raises(InternalInvariantError):
+            _invariant_factors_from_torsion(n_factors, torsion)
+
+    def test_off_curve_composition(self):
+        # v² − f is not divisible by u, so reduction leaves a remainder
+        d = MumfordDivisor(u=(0, 0, 1), v=(0, 1))
+        with pytest.raises(InternalInvariantError):
+            _compose_reduce(d, d, C3)
