@@ -12,27 +12,31 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
+from dataclasses import asdict
 
-from .cm_field import FrobeniusElement, validate_field
+from .cm_field import CMFieldParams, FrobeniusElement, validate_field
 from .errors import G2CMError, InvalidArgumentError
 from .frobenius import char_poly_closed, char_poly_product, group_order, weil_validate
 from .oracle import (
     DEFAULT_BUDGET,
     GenusTwoCurve,
+    all_squarefree_quintics,
     char_poly_from_counts,
     check_odd_prime,
     count_points,
     enumerate_jacobian,
-    poly_derivative,
-    poly_gcd,
+    random_squarefree_quintics,
 )
 from .sylow import analyze, verify_lemma2
 
 EXIT_OK = 0
 EXIT_PROPERTY_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
+
+#: Most curves one scan checks: all 10000 squarefree quintics at p = 5.
+#: --all at p ≥ 7 and larger --count values are rejected.
+SCAN_MAX_CURVES = 10_000
 
 
 def _s(n: int) -> str:
@@ -85,44 +89,37 @@ def cmd_field(args) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def cmd_analyze(args) -> tuple[dict, int]:
+def _frobenius(args) -> tuple[CMFieldParams, FrobeniusElement]:
     field = validate_field(args.D, args.a, args.b)
-    c1, c2, c3, c4 = args.c
-    w = FrobeniusElement(c1=c1, c2=c2, c3=c3, c4=c4, field=field)
-    verdict = analyze(field, w)
-    closed = char_poly_closed(verdict.p, c1, c2, args.D)
-    product = char_poly_product(w)
-    return {
-        "p": _s(verdict.p),
-        "char_poly_closed": _poly_payload(closed),
-        "char_poly_product": _poly_payload(product),
-        "forms_agree": closed == product,
-        "N": _s(verdict.N),
-        "v_p": verdict.v,
-        "sylow_order": _s(verdict.sylow_order),
-        "theorem_holds": verdict.theorem_holds,
-    }, EXIT_OK if verdict.theorem_holds else EXIT_PROPERTY_VIOLATION
+    return field, FrobeniusElement(*args.c, field)
 
 
-def cmd_charpoly(args) -> tuple[dict, int]:
-    field = validate_field(args.D, args.a, args.b)
-    c1, c2, c3, c4 = args.c
-    w = FrobeniusElement(c1=c1, c2=c2, c3=c3, c4=c4, field=field)
-    product = char_poly_product(w)
-    closed = char_poly_closed(product.p, c1, c2, args.D)
-    weil = weil_validate(product)
+def _both_forms(args, product) -> dict:
+    """p, P(X) by conjugate product and by closed form, and N = P(1)."""
+    closed = char_poly_closed(product.p, args.c[0], args.c[1], args.D)
     return {
         "p": _s(product.p),
         "char_poly_closed": _poly_payload(closed),
         "char_poly_product": _poly_payload(product),
         "forms_agree": closed == product,
         "N": _s(group_order(product)),
-        "weil": {
-            "constant_term_ok": weil.constant_term_ok,
-            "functional_equation_ok": weil.functional_equation_ok,
-            "root_moduli_ok": weil.root_moduli_ok,
-        },
-    }, EXIT_OK
+    }
+
+
+def cmd_analyze(args) -> tuple[dict, int]:
+    field, w = _frobenius(args)
+    verdict = analyze(field, w)  # first, for its error precedence
+    results = _both_forms(args, char_poly_product(w))
+    results.update(v_p=verdict.v, sylow_order=_s(verdict.sylow_order),
+                   theorem_holds=verdict.theorem_holds)
+    return results, EXIT_OK if verdict.theorem_holds else EXIT_PROPERTY_VIOLATION
+
+
+def cmd_charpoly(args) -> tuple[dict, int]:
+    product = char_poly_product(_frobenius(args)[1])
+    results = _both_forms(args, product)
+    results["weil"] = asdict(weil_validate(product))
+    return results, EXIT_OK
 
 
 def cmd_lemma2(args) -> tuple[dict, int]:
@@ -153,20 +150,18 @@ def cmd_lemma2(args) -> tuple[dict, int]:
 
 def cmd_oracle(args) -> tuple[dict, int]:
     curve = GenusTwoCurve(p=args.p, f=args.coeffs)
-    if args.mode == "count":
-        n1 = count_points(curve, 1)
-        n2 = count_points(curve, 2)
-        P = char_poly_from_counts(n1, n2, curve.p)
+    structure = (enumerate_jacobian(curve, budget=_budget())
+                 if args.mode == "enumerate" else None)
+    n1 = count_points(curve, 1)
+    n2 = count_points(curve, 2)
+    P = char_poly_from_counts(n1, n2, curve.p)
+    if structure is None:
         return {
             "N1": _s(n1),
             "N2": _s(n2),
             "char_poly": _poly_payload(P),
             "P1": _s(group_order(P)),
         }, EXIT_OK
-    structure = enumerate_jacobian(curve, budget=_budget())
-    n1 = count_points(curve, 1)
-    n2 = count_points(curve, 2)
-    P = char_poly_from_counts(n1, n2, curve.p)
     cross_check = group_order(P) == structure.order
     return {
         "order": _s(structure.order),
@@ -177,31 +172,6 @@ def cmd_oracle(args) -> tuple[dict, int]:
     }, EXIT_OK if cross_check else EXIT_PROPERTY_VIOLATION
 
 
-def _random_squarefree_quintics(p: int, count: int, seed: int):
-    rng = random.Random(seed)
-    seen = set()
-    while len(seen) < count:
-        f = tuple(rng.randrange(p) for _ in range(5)) + (
-            rng.randrange(1, p),
-        )
-        if f in seen:
-            continue
-        if len(poly_gcd(f, poly_derivative(f, p), p)) > 1:
-            continue
-        seen.add(f)
-        yield f
-
-
-def _all_squarefree_quintics(p: int):
-    from itertools import product
-
-    for tail in product(range(p), repeat=5):
-        for lead in range(1, p):
-            f = tail + (lead,)
-            if len(poly_gcd(f, poly_derivative(f, p), p)) == 1:
-                yield f
-
-
 def cmd_scan(args) -> tuple[dict, int]:
     check_odd_prime(args.p)
     total = (args.p - 1) * (args.p ** 5 - args.p ** 4)  # squarefree quintics
@@ -210,12 +180,17 @@ def cmd_scan(args) -> tuple[dict, int]:
             f"--count must be between 1 and {total}, the number of "
             f"squarefree quintics at p = {args.p}, got {args.count}"
         )
+    curves_asked = total if args.all else args.count
+    if curves_asked > SCAN_MAX_CURVES:
+        raise InvalidArgumentError(
+            f"a scan checks at most {SCAN_MAX_CURVES} curves, "
+            f"got {curves_asked} at p = {args.p}"
+        )
     budget = _budget()
     if args.all:
-        curves = _all_squarefree_quintics(args.p)
+        curves = all_squarefree_quintics(args.p)
     else:
-        curves = _random_squarefree_quintics(args.p, args.count, args.seed)
-    checked = 0
+        curves = random_squarefree_quintics(args.p, args.count, args.seed)
     mismatches = []
     for f in curves:
         curve = GenusTwoCurve(p=args.p, f=f)
@@ -223,22 +198,28 @@ def cmd_scan(args) -> tuple[dict, int]:
         P = char_poly_from_counts(
             count_points(curve, 1), count_points(curve, 2), args.p
         )
-        checked += 1
         if group_order(P) != order:
             mismatches.append(
                 {"coeffs": list(f), "order": _s(order), "P1": _s(group_order(P))}
             )
     return {
         "p": args.p,
-        "curves_checked": checked,
+        "curves_checked": curves_asked,
         "mismatch_count": len(mismatches),
         "mismatches": mismatches,
         "all_match": not mismatches,
     }, EXIT_OK if not mismatches else EXIT_PROPERTY_VIOLATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors become the JSON error envelope."""
+
+    def error(self, message: str):
+        raise InvalidArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="g2cm",
         description="Frobenius characteristic polynomials and p-Sylow "
         "analysis for genus-2 Jacobians with quartic CM",
@@ -325,12 +306,12 @@ def _render_pretty(envelope: dict, indent: int = 0) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    envelope = {
-        "command": args.command,
-        "inputs": _echo_inputs(args),
-    }
+    # argparse sets .command before it parses the subcommand's options
+    args = argparse.Namespace(command=None, pretty=False, out=None)
+    envelope = {"command": None, "inputs": None}
     try:
+        parser.parse_args(argv, args)
+        envelope["inputs"] = _echo_inputs(args)
         results, code = args.func(args)
         envelope["results"] = results
         envelope["status"] = "ok"
@@ -339,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         envelope["status"] = "error"
         envelope["error"] = {"code": exc.code, "message": exc.message}
         code = EXIT_INPUT_ERROR
+    envelope["command"] = args.command
     payload = json.dumps(envelope, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

@@ -41,7 +41,16 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+#: Largest accepted D.  It bounds the trial division in is_squarefree,
+#: which runs on every RealQuadElem, to √D / 2 ≈ 5000 steps.
+MAX_DISCRIMINANT = 10 ** 8
+
+
 def _check_discriminant(D: int) -> None:
+    if D > MAX_DISCRIMINANT:
+        raise InvalidDiscriminantError(
+            f"D must be at most {MAX_DISCRIMINANT}, got {D}"
+        )
     if D <= 1 or not is_squarefree(D):
         raise InvalidDiscriminantError(
             f"D must be a squarefree integer > 1, got {D}"
@@ -142,16 +151,6 @@ class RealQuadElem:
 
     def __str__(self) -> str:
         return f"{self.x}{self.y:+}ξ  (D={self.D})"
-
-
-def rq_mul(u: RealQuadElem, v: RealQuadElem) -> RealQuadElem:
-    """Exact product in Z + ξZ; requires u.D == v.D."""
-    return u * v
-
-
-def rq_conjugate(u: RealQuadElem) -> RealQuadElem:
-    """Apply the nontrivial real embedding; an involution."""
-    return u.conjugate()
 
 
 class GaloisType(enum.Enum):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import sympy
 
 from .cm_field import FrobeniusElement, relative_norm, xi_square_rule
-from .errors import InternalInvariantError, InvalidDiscriminantError, NormNotPrimeError
+from .errors import InternalInvariantError, NormNotPrimeError
 
 
 @dataclass(frozen=True)
@@ -104,40 +104,38 @@ def group_order(P: FrobeniusPoly) -> int:
 
 @dataclass(frozen=True)
 class WeilReport:
-    """Diagnostics for a candidate Frobenius quartic."""
+    """The Weil conditions on a candidate Frobenius quartic, decided exactly."""
 
-    monic: bool
     constant_term_ok: bool
     functional_equation_ok: bool
     root_moduli_ok: bool
-    root_moduli: tuple[float, float, float, float]
 
     def all_ok(self) -> bool:
-        return (
-            self.monic
-            and self.constant_term_ok
-            and self.functional_equation_ok
-            and self.root_moduli_ok
-        )
+        return self.root_moduli_ok  # which needs the other two
 
 
-def weil_validate(P: FrobeniusPoly, rel_tol: float = 1e-9) -> WeilReport:
-    """Check the Weil constraints on P.
+def weil_validate(P: FrobeniusPoly) -> WeilReport:
+    """Check the Weil conditions on P, on integers only.
 
-    Exact checks: constant term p² and the functional equation
-    a1 = a3·p (equivalent to X⁴·P(p/X) = p²·P(X)).  Numeric check:
-    every complex root has modulus √p within rel_tol.
+    Constant term p², the functional equation a1 = a3·p, and every root
+    of modulus √p, which forces both.  Given them, P(X) = X²·h(X + p/X)
+    with h(t) = t² + a3·t + a2 − 2p, and the roots lie on |z| = √p iff
+    h has both roots in [−2√p, 2√p] (Rück 1990; Maisner–Nart 2002):
+    |a3| ≤ 4√p and 2|a3|√p − 2p ≤ a2 ≤ a3²/4 + 2p, squared here.
     """
-    import numpy as np
-
-    moduli = tuple(
-        sorted(float(abs(r)) for r in np.roots([1, P.a3, P.a2, P.a1, P.a0]))
-    )
-    target = P.p ** 0.5
+    p, a2, a3 = P.p, P.a2, P.a3
+    constant_term_ok = P.a0 == p * p
+    functional_equation_ok = P.a1 == a3 * p
+    lower = a2 + 2 * p
     return WeilReport(
-        monic=True,
-        constant_term_ok=P.a0 == P.p * P.p,
-        functional_equation_ok=P.a1 == P.a3 * P.p,
-        root_moduli_ok=all(abs(m - target) <= rel_tol * target for m in moduli),
-        root_moduli=moduli,
+        constant_term_ok=constant_term_ok,
+        functional_equation_ok=functional_equation_ok,
+        root_moduli_ok=(
+            constant_term_ok
+            and functional_equation_ok
+            and a3 * a3 <= 16 * p
+            and 4 * a2 <= a3 * a3 + 8 * p
+            and lower >= 0
+            and lower * lower >= 4 * a3 * a3 * p
+        ),
     )

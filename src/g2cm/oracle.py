@@ -11,7 +11,10 @@ no trailing zeros (the zero polynomial is the empty tuple).
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import sympy
@@ -123,6 +126,11 @@ def poly_derivative(a: Poly, p: int) -> Poly:
     return _trim([i * a[i] % p for i in range(1, len(a))])
 
 
+def poly_is_squarefree(a: Poly, p: int) -> bool:
+    """True iff a has no repeated root over the algebraic closure of F_p."""
+    return len(poly_gcd(a, poly_derivative(a, p), p)) == 1
+
+
 # ------------------------------------------------------------------ curve
 
 def check_odd_prime(p: int) -> None:
@@ -146,12 +154,32 @@ class GenusTwoCurve:
             raise InvalidCurveError(
                 f"deg f must be 5 or 6, got {len(f) - 1 if f else '-inf'}"
             )
-        if len(poly_gcd(f, poly_derivative(f, self.p), self.p)) > 1:
+        if not poly_is_squarefree(f, self.p):
             raise InvalidCurveError("f has a repeated root over F_p")
 
     @property
     def degree(self) -> int:
         return len(self.f) - 1
+
+
+def random_squarefree_quintics(p: int, count: int, seed: int) -> Iterator[Poly]:
+    """count distinct random squarefree quintics over F_p, seeded."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        f = tuple(rng.randrange(p) for _ in range(5)) + (rng.randrange(1, p),)
+        if f not in seen and poly_is_squarefree(f, p):
+            seen.add(f)
+            yield f
+
+
+def all_squarefree_quintics(p: int) -> Iterator[Poly]:
+    """Every squarefree quintic over F_p, (p − 1)(p⁵ − p⁴) of them."""
+    for tail in itertools.product(range(p), repeat=5):
+        for lead in range(1, p):
+            f = tail + (lead,)
+            if poly_is_squarefree(f, p):
+                yield f
 
 
 def smallest_non_residue(p: int) -> int:

@@ -14,12 +14,8 @@ from math import isqrt
 
 import sympy
 
-from .cm_field import CMFieldParams, FrobeniusElement, relative_norm
-from .errors import (
-    CoefficientC2ZeroError,
-    NormNotPrimeError,
-    NotPrimitiveError,
-)
+from .cm_field import CMFieldParams, FrobeniusElement
+from .errors import CoefficientC2ZeroError, NotPrimitiveError
 from .frobenius import char_poly_product, group_order
 
 SMALL_PRIMES = (2, 3, 5)
@@ -215,7 +211,7 @@ def analyze(field: CMFieldParams, w: FrobeniusElement) -> SylowVerdict:
     """Full pipeline: norm → P(X) → N = P(1) → v_p(N).
 
     Error precedence is fixed: primitivity of the field, then c2 ≠ 0,
-    then primality of the relative norm.
+    then primality of the relative norm, which char_poly_product checks.
     """
     if not field.primitive():
         raise NotPrimitiveError(
@@ -224,11 +220,6 @@ def analyze(field: CMFieldParams, w: FrobeniusElement) -> SylowVerdict:
     if w.c2 == 0:
         raise CoefficientC2ZeroError(
             "c2 = 0 forces a biquadratic (non-primitive) CM field"
-        )
-    nrm = relative_norm(w)
-    if not nrm.is_rational() or not sympy.isprime(nrm.x):
-        raise NormNotPrimeError(
-            f"relative norm ωω̄ = {nrm} is not a rational prime"
         )
     poly = char_poly_product(w)
     N = group_order(poly)

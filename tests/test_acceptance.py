@@ -6,9 +6,7 @@ lines on stdout.
 
 from __future__ import annotations
 
-import random
 import time
-from itertools import product
 
 import sympy
 
@@ -25,7 +23,11 @@ from g2cm import (
     validate_field,
     verify_lemma2,
 )
-from g2cm.oracle import GenusTwoCurve, poly_derivative, poly_gcd
+from g2cm.oracle import (
+    GenusTwoCurve,
+    all_squarefree_quintics,
+    random_squarefree_quintics,
+)
 
 
 def _report(n: int, text: str) -> None:
@@ -99,31 +101,13 @@ def test_criterion_5_theorem_on_grid(frobenius_grid):
     _report(5, f"sylow_order ∈ {{1, p}} on all {checked} grid cases")
 
 
-def _squarefree_quintics_f3():
-    for tail in product(range(3), repeat=5):
-        for lead in (1, 2):
-            f = tail + (lead,)
-            if len(poly_gcd(f, poly_derivative(f, 3), 3)) == 1:
-                yield f
-
-
-def _random_squarefree_quintics(p: int, count: int, seed: int):
-    rng = random.Random(seed)
-    seen = set()
-    while len(seen) < count:
-        f = tuple(rng.randrange(p) for _ in range(5)) + (rng.randrange(1, p),)
-        if f not in seen and len(poly_gcd(f, poly_derivative(f, p), p)) == 1:
-            seen.add(f)
-            yield f
-
-
 def test_criterion_6_oracle_equivalence():
     start = time.perf_counter()
     checked = 0
     for p, curves in [
-        (3, list(_squarefree_quintics_f3())),
-        (5, list(_random_squarefree_quintics(5, 50, seed=5))),
-        (7, list(_random_squarefree_quintics(7, 50, seed=7))),
+        (3, list(all_squarefree_quintics(3))),
+        (5, list(random_squarefree_quintics(5, 50, seed=5))),
+        (7, list(random_squarefree_quintics(7, 50, seed=7))),
     ]:
         for f in curves:
             curve = GenusTwoCurve(p=p, f=f)

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import textwrap
+import time
 
 import pytest
 
-from g2cm.cli import main
+from g2cm.cli import SCAN_MAX_CURVES, main
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +37,14 @@ class TestFieldCommand:
         code, env = run_cli(capsys, "field", "-D", "4", "-a", "1", "-b", "1")
         assert code == 2
         assert env["status"] == "error"
+        assert env["error"]["code"] == "invalid-discriminant"
+
+    def test_huge_discriminant_rejected_at_once(self, capsys):
+        start = time.perf_counter()
+        code, env = run_cli(capsys, "field", "-D",
+                            "100000000000000000000000000007", "-a", "1", "-b", "1")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
         assert env["error"]["code"] == "invalid-discriminant"
 
 
@@ -73,6 +83,17 @@ class TestCharpolyCommand:
         assert r["forms_agree"] is True
         assert r["weil"]["functional_equation_ok"] is True
         assert r["N"] == "28"
+
+    def test_repeated_roots_are_on_the_circle(self, capsys):
+        # ω = ξ = √2 gives P = (X² − 2)², roots ±√2 twice each
+        code, env = run_cli(capsys, "charpoly", "-D", "2", "-a", "2", "-b", "1",
+                            "-c", "0,1,0,0")
+        assert code == 0
+        r = env["results"]
+        assert r["char_poly_product"]["display"] == "X^4+0X^3-4X^2+0X+4"
+        assert r["weil"] == {"constant_term_ok": True,
+                             "functional_equation_ok": True,
+                             "root_moduli_ok": True}
 
 
 class TestLemma2Command:
@@ -163,6 +184,60 @@ class TestScanCommand:
         assert code == 0
         assert env["results"]["curves_checked"] == 324
 
+    def test_all_above_the_cap(self, capsys):
+        # 1,464,100 squarefree quintics at p = 11, beyond SCAN_MAX_CURVES
+        start = time.perf_counter()
+        code, env = run_cli(capsys, "scan", "-p", "11", "--all")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert env["error"]["code"] == "invalid-argument"
+        assert str(SCAN_MAX_CURVES) in env["error"]["message"]
+
+    def test_count_above_the_cap(self, capsys):
+        code, env = run_cli(capsys, "scan", "-p", "47", "--count",
+                            str(SCAN_MAX_CURVES + 1))
+        assert code == 2
+        assert env["error"]["code"] == "invalid-argument"
+        assert str(SCAN_MAX_CURVES) in env["error"]["message"]
+
+
+class TestArgumentErrors:
+    """argparse errors give the error envelope, with exit 2."""
+
+    @pytest.mark.parametrize("argv, command", [
+        (["oracle", "-p", "3", "--coeffs", "1,x"], "oracle"),
+        (["oracle", "-p", "x", "--coeffs", "1,0,0,0,0,1"], "oracle"),
+        (["analyze", "-D", "2", "-a", "2", "-b", "1", "-c", "1,2,3"], "analyze"),
+        (["charpoly", "-D", "2", "-a", "2", "-b", "1", "-c", "-1,1,2,-1"],
+         "charpoly"),
+        (["scan"], "scan"),
+        ([], None),
+        (["nosuchcommand"], None),
+    ])
+    def test_envelope(self, capsys, argv, command):
+        code, env = run_cli(capsys, *argv)
+        assert code == 2
+        assert env == {
+            "command": command,
+            "inputs": None,
+            "results": None,
+            "status": "error",
+            "error": {"code": "invalid-argument",
+                      "message": env["error"]["message"]},
+        }
+
+    def test_negative_c1_with_equals_sign(self, capsys):
+        code, env = run_cli(capsys, "analyze", "-D", "2", "-a", "2", "-b", "1",
+                            "-c=-1,1,2,-1")
+        assert env["inputs"]["c"] == [-1, 1, 2, -1]
+        assert env["error"]["code"] == "norm-not-prime"
+
+    def test_help_keeps_its_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--help"])
+        assert exc.value.code == 0
+        assert "usage: g2cm oracle" in capsys.readouterr().out
+
 
 class TestEnvelopeContract:
     def test_deterministic_output(self, capsys):
@@ -191,6 +266,28 @@ class TestEnvelopeContract:
         out = capsys.readouterr().out
         assert code == 0
         assert "galois_type: Cyclic" in out
+
+    def test_no_subcommand_imports_numpy(self):
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from g2cm.cli import main
+            for argv in (
+                ["field", "-D", "2", "-a", "2", "-b", "1"],
+                ["analyze", "-D", "2", "-a", "2", "-b", "1", "-c", "1,1,2,-1"],
+                ["charpoly", "-D", "2", "-a", "2", "-b", "1", "-c", "0,1,0,0"],
+                ["lemma2", "--rows"],
+                ["oracle", "-p", "3", "--coeffs", "1,0,0,0,0,1"],
+                ["oracle", "-p", "3", "--coeffs", "1,0,0,0,0,1", "--mode", "count"],
+                ["scan", "-p", "3", "--count", "3"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+            print("numpy" in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import count
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +16,10 @@ from g2cm import (
     RealQuadElem,
     embeddings,
     relative_norm,
-    rq_conjugate,
-    rq_mul,
     validate_field,
     xi_square_rule,
 )
-from g2cm.cm_field import is_squarefree
+from g2cm.cm_field import MAX_DISCRIMINANT, is_squarefree
 from g2cm.errors import (
     DomainMismatchError,
     InvalidDiscriminantError,
@@ -52,25 +52,32 @@ class TestXiSquareRule:
         with pytest.raises(InvalidDiscriminantError):
             xi_square_rule(bad)
 
+    def test_bounded(self):
+        below = next(d for d in range(MAX_DISCRIMINANT, 1, -1) if is_squarefree(d))
+        above = next(d for d in count(MAX_DISCRIMINANT + 1) if is_squarefree(d))
+        assert xi_square_rule(below)[0] in (below, (below - 1) // 4)
+        with pytest.raises(InvalidDiscriminantError, match="at most"):
+            xi_square_rule(above)
+
 
 class TestRingArithmetic:
     def test_xi_squared_d2(self):
         xi = RealQuadElem(0, 1, 2)
-        assert rq_mul(xi, xi) == RealQuadElem(2, 0, 2)
+        assert xi * xi == RealQuadElem(2, 0, 2)
 
     def test_xi_squared_d5(self):
         xi = RealQuadElem(0, 1, 5)
-        assert rq_mul(xi, xi) == RealQuadElem(1, 1, 5)
+        assert xi * xi == RealQuadElem(1, 1, 5)
 
     def test_difference_of_squares(self):
         # (1 + √2)(1 − √2) = −1
         u = RealQuadElem(1, 1, 2)
         v = RealQuadElem(1, -1, 2)
-        assert rq_mul(u, v) == RealQuadElem(-1, 0, 2)
+        assert u * v == RealQuadElem(-1, 0, 2)
 
     def test_mismatched_discriminant(self):
         with pytest.raises(DomainMismatchError):
-            rq_mul(RealQuadElem(1, 0, 2), RealQuadElem(1, 0, 3))
+            RealQuadElem(1, 0, 2) * RealQuadElem(1, 0, 3)
 
     @given(rq_triples())
     def test_commutative(self, uvw):
@@ -98,15 +105,15 @@ class TestRingArithmetic:
 
 class TestConjugate:
     def test_d2(self):
-        assert rq_conjugate(RealQuadElem(3, 1, 2)) == RealQuadElem(3, -1, 2)
+        assert RealQuadElem(3, 1, 2).conjugate() == RealQuadElem(3, -1, 2)
 
     def test_d5(self):
         # ξ′ = (1 − √5)/2 = 1 − ξ
-        assert rq_conjugate(RealQuadElem(0, 1, 5)) == RealQuadElem(1, -1, 5)
+        assert RealQuadElem(0, 1, 5).conjugate() == RealQuadElem(1, -1, 5)
 
     @pytest.mark.parametrize("D", [2, 3, 5, 13])
     def test_fixes_rationals(self, D):
-        assert rq_conjugate(RealQuadElem(7, 0, D)) == RealQuadElem(7, 0, D)
+        assert RealQuadElem(7, 0, D).conjugate() == RealQuadElem(7, 0, D)
 
     @given(rq_triples())
     def test_involution(self, uvw):

@@ -1,6 +1,10 @@
-"""Characteristic polynomial construction and Weil diagnostics."""
+"""Characteristic polynomial construction and the Weil conditions."""
 
 from __future__ import annotations
+
+import itertools
+import math
+import random
 
 import pytest
 import sympy
@@ -22,6 +26,11 @@ from g2cm.errors import NormNotPrimeError
 
 def coeffs_desc(P: FrobeniusPoly) -> tuple[int, ...]:
     return tuple(reversed(P.coeffs))
+
+
+def quartic(p: int, a3: int, a2: int) -> FrobeniusPoly:
+    """X⁴ + a3X³ + a2X² + a3pX + p², the shape of a Frobenius quartic."""
+    return FrobeniusPoly(a0=p * p, a1=a3 * p, a2=a2, a3=a3, p=p)
 
 
 class TestCharPolyClosed:
@@ -96,6 +105,64 @@ class TestWeilValidate:
         report = weil_validate(FrobeniusPoly(a0=1, a1=0, a2=0, a3=0, p=3))
         assert not report.constant_term_ok
         assert not report.all_ok()
+
+    def test_grid_product_polys_pass(self, frobenius_grid):
+        """Every P(X) of the grid is a Weil polynomial, c2 = 0 included."""
+        for case in frobenius_grid:
+            w = FrobeniusElement(*case.c, case.field)
+            assert weil_validate(char_poly_product(w)).all_ok(), case
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 199])
+    def test_repeated_roots_pass(self, p):
+        # (X² − p)², roots ±√p: h(t) = t² − 4p has roots ±2√p, the ends
+        assert weil_validate(quartic(p, 0, -2 * p)).all_ok()
+        # (X² + p)², roots ±i√p: h(t) = t², a double root at 0
+        assert weil_validate(quartic(p, 0, 2 * p)).all_ok()
+
+    def test_double_root_of_h(self):
+        # 4a2 = a3² + 8p: P = (X² − X + 7)², h(t) = (t − 1)²
+        assert weil_validate(quartic(7, -2, 15)).root_moduli_ok
+        # one more and h(t) = t² − 2t + 2 has no real root
+        assert not weil_validate(quartic(7, -2, 16)).root_moduli_ok
+
+    def test_below_the_lower_bound(self):
+        # X⁴ − 15X² + 49: h(t) = t² − 29 has roots ±√29 beyond ±2√7
+        assert not weil_validate(quartic(7, 0, -15)).root_moduli_ok
+
+    @pytest.mark.parametrize("a3", [6, -6])
+    def test_trace_just_above_the_bound(self, a3):
+        # |a3| = 6 > 4√2 while the other two conditions hold with
+        # equality: P = (X ± 1)²(X ± 2)², roots of modulus 1 and 2.
+        report = weil_validate(quartic(2, a3, 13))
+        assert report.constant_term_ok and report.functional_equation_ok
+        assert not report.root_moduli_ok
+
+    def test_broken_functional_equation_fails_moduli(self):
+        # roots all of modulus √p would force a1 = a3·p
+        P = FrobeniusPoly(a0=49, a1=-27, a2=10, a3=-4, p=7)
+        report = weil_validate(P)
+        assert not report.functional_equation_ok
+        assert not report.root_moduli_ok
+
+    def test_agrees_with_numpy_on_separated_roots(self):
+        import numpy as np
+
+        rng = random.Random(2024)
+        primes = list(sympy.primerange(2, 400))
+        verdicts = []
+        while len(verdicts) < 2000:
+            p = rng.choice(primes)
+            bound = 4 * math.isqrt(p) + 3
+            a3, a2 = rng.randint(-bound, bound), rng.randint(-3 * p, 4 * p)
+            roots = np.roots([1, a3, a2, a3 * p, p * p])
+            gap = min(abs(x - y) for x, y in itertools.combinations(roots, 2))
+            if gap < 1e-3 * p ** 0.5:
+                continue  # near-repeated roots: floats cannot decide
+            numeric = all(abs(abs(r) ** 2 - p) <= 1e-6 * p for r in roots)
+            exact = weil_validate(quartic(p, a3, a2)).root_moduli_ok
+            assert exact == numeric, (p, a3, a2)
+            verdicts.append(exact)
+        assert 200 < sum(verdicts) < 1800
 
 
 def test_factored_order_identities_symbolically():

@@ -23,7 +23,6 @@ from g2cm import (
     p_sylow_structure,
     weil_validate,
 )
-from g2cm.cli import _all_squarefree_quintics
 from g2cm.errors import (
     BudgetExceededError,
     InternalInvariantError,
@@ -36,24 +35,25 @@ from g2cm.oracle import (
     _scalar_mul,
     _trim,
     _v_solutions,
+    all_squarefree_quintics,
     cantor_neg,
     enumerate_divisors,
-    poly_derivative,
     poly_eval,
-    poly_gcd,
+    poly_is_squarefree,
     poly_mod,
+    random_squarefree_quintics,
 )
 
 C3 = GenusTwoCurve(p=3, f=(1, 0, 0, 0, 0, 1))     # y² = x⁵ + 1 over F₃
 
 
-ALL_P3 = [GenusTwoCurve(p=3, f=f) for f in _all_squarefree_quintics(3)]
+ALL_P3 = [GenusTwoCurve(p=3, f=f) for f in all_squarefree_quintics(3)]
 
 
 def random_squarefree_quintic(p: int, rng: random.Random) -> GenusTwoCurve:
     while True:
         f = tuple(rng.randrange(p) for _ in range(5)) + (rng.randrange(1, p),)
-        if len(poly_gcd(f, poly_derivative(f, p), p)) == 1:
+        if poly_is_squarefree(f, p):
             return GenusTwoCurve(p=p, f=f)
 
 
@@ -165,6 +165,34 @@ class TestCurveValidation:
         # f = x⁵ + 2x⁴ + x³ = x³(x + 1)² over F₃
         with pytest.raises(InvalidCurveError):
             GenusTwoCurve(p=3, f=(0, 0, 0, 1, 2, 1))
+
+
+class TestSquarefreeQuintics:
+    def test_all_at_three(self):
+        every = list(product(range(3), repeat=5))
+        assert len(ALL_P3) == (3 - 1) * (3 ** 5 - 3 ** 4) == 324
+        assert [c.f for c in ALL_P3] == [
+            tail + (lead,) for tail in every for lead in (1, 2)
+            if poly_is_squarefree(tail + (lead,), 3)]
+
+    def test_predicate_matches_factorization(self):
+        x = sympy.Symbol("x")
+        for f in product(range(3), repeat=7):
+            if any(f):
+                _, factors = sympy.Poly(f[::-1], x, modulus=3).factor_list()
+                expected = all(e == 1 for _, e in factors)
+                assert poly_is_squarefree(_trim(list(f)), 3) == expected, f
+
+    def test_random_draws_are_fixed_by_the_seed(self):
+        drawn = list(random_squarefree_quintics(5, 40, seed=0))
+        # the sequence that `g2cm scan -p 5` reports on
+        assert drawn[:3] == [(3, 3, 0, 2, 4, 4), (3, 2, 3, 2, 4, 2),
+                             (4, 1, 2, 1, 0, 3)]
+        assert len(set(drawn)) == 40
+        assert all(poly_is_squarefree(f, 5) and f[-1] for f in drawn)
+        assert drawn == list(random_squarefree_quintics(5, 40, seed=0))
+        every = list(random_squarefree_quintics(3, 324, seed=1))
+        assert sorted(every) == sorted(c.f for c in ALL_P3)
 
 
 class TestCountPoints:
