@@ -109,7 +109,7 @@ def _both_forms(args, product) -> dict:
 def cmd_analyze(args) -> tuple[dict, int]:
     field, w = _frobenius(args)
     verdict = analyze(field, w)  # first, for its error precedence
-    results = _both_forms(args, char_poly_product(w))
+    results = _both_forms(args, verdict.char_poly)
     results.update(v_p=verdict.v, sylow_order=_s(verdict.sylow_order),
                    theorem_holds=verdict.theorem_holds)
     return results, EXIT_OK if verdict.theorem_holds else EXIT_PROPERTY_VIOLATION

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,12 +42,18 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-#: Largest accepted D.  It bounds the trial division in is_squarefree,
-#: which runs on every RealQuadElem, to √D / 2 ≈ 5000 steps.
+#: Largest accepted D.  It bounds the trial division in is_squarefree
+#: to √D / 2 ≈ 5000 steps.
 MAX_DISCRIMINANT = 10 ** 8
 
 
+@functools.lru_cache(maxsize=1024)
 def _check_discriminant(D: int) -> None:
+    """Reject D unless it is a squarefree integer in (1, MAX_DISCRIMINANT].
+
+    Every RealQuadElem and every product checks its D, so a valid D is
+    cached; an exception is never cached, so a bad D raises every time.
+    """
     if D > MAX_DISCRIMINANT:
         raise InvalidDiscriminantError(
             f"D must be at most {MAX_DISCRIMINANT}, got {D}"

@@ -26,6 +26,9 @@ Poly = tuple[int, ...]
 
 DEFAULT_BUDGET = 4096
 
+#: Largest p that count_points accepts; k = 2 takes about p²/2 steps.
+MAX_COUNT_PRIME = 1000
+
 
 # ---------------------------------------------------------------- F_p[x]
 
@@ -182,13 +185,6 @@ def all_squarefree_quintics(p: int) -> Iterator[Poly]:
                 yield f
 
 
-def smallest_non_residue(p: int) -> int:
-    for n in range(2, p):
-        if pow(n, (p - 1) // 2, p) == p - 1:
-            return n
-    raise ValueError(f"no quadratic non-residue mod {p}")
-
-
 def _sqrt_table(p: int) -> list[list[int]]:
     """roots[z] = the y in F_p with y² = z, ascending."""
     roots: list[list[int]] = [[] for _ in range(p)]
@@ -197,43 +193,51 @@ def _sqrt_table(p: int) -> list[list[int]]:
     return roots
 
 
+def _shifted(f: Poly, h: int, p: int) -> list[int]:
+    """Coefficients of f(s − h), low degree first (Taylor shift by Horner)."""
+    g = list(f)
+    for i in range(len(g) - 1):
+        for j in range(len(g) - 2, i - 1, -1):
+            g[j] = (g[j] - h * g[j + 1]) % p
+    return g
+
+
 def count_points(curve: GenusTwoCurve, k: int) -> int:
     """#C(F_{p^k}) for the smooth projective model, k ∈ {1, 2}.
 
-    Affine solutions of y² = f(x) plus the points at infinity: one for
-    deg f = 5, and the number of square roots of the leading
-    coefficient for deg f = 6.  F_{p²} is realized as F_p[t]/(t² − n)
-    with n the smallest quadratic non-residue mod p.
+    Both counts are exact sums over F_p with s[z] = #{y ∈ F_p : y² = z}
+    = 1 + χ(z).  k = 1 adds s[f(x)] over x ∈ F_p.  For k = 2, z ∈ F_{p²}
+    is a square iff its norm z^{p+1} is a square in F_p.  So x ∈ F_p
+    gives 2 points, or 1 where f(x) = 0.  The other x come in conjugate
+    pairs −h ± √δ, h ∈ F_p and δ a non-residue: the roots of the
+    irreducible m = (t + h)² − δ.  Writing f(s − h) = E(s²) + s·O(s²),
+    the pair's norm f(x)·f(x̄) = Res(m, f) is E(δ)² − δ·O(δ)², and the
+    pair gives 2·s[Res] points.  At infinity: one point for deg f = 5;
+    for deg f = 6 the square roots of the leading coefficient, two over
+    F_{p²}.  Primes above MAX_COUNT_PRIME raise BudgetExceededError.
     """
     p, f = curve.p, curve.f
-    lead = f[-1]
-    if k == 1:
-        counts = [len(r) for r in _sqrt_table(p)]
-        total = sum(counts[poly_eval(f, x, p)] for x in range(p))
-        return total + (1 if curve.degree == 5 else counts[lead])
-    if k != 2:
+    if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k}")
-    n = smallest_non_residue(p)
-
-    def mul2(a, b):
-        a0, a1 = a
-        b0, b1 = b
-        return ((a0 * b0 + a1 * b1 * n) % p, (a0 * b1 + a1 * b0) % p)
-
-    counts2: dict[tuple[int, int], int] = {}
-    for y0 in range(p):
-        for y1 in range(p):
-            z = mul2((y0, y1), (y0, y1))
-            counts2[z] = counts2.get(z, 0) + 1
-    total = 0
-    for x0 in range(p):
-        for x1 in range(p):
-            acc = (0, 0)
-            for c in reversed(f):
-                acc = mul2(acc, (x0, x1))
-                acc = ((acc[0] + c) % p, acc[1])
-            total += counts2.get(acc, 0)
-    return total + (1 if curve.degree == 5 else counts2.get((lead % p, 0), 0))
+    if p > MAX_COUNT_PRIME:
+        raise BudgetExceededError(
+            f"p = {p} exceeds the point-counting limit {MAX_COUNT_PRIME}"
+        )
+    s = [len(r) for r in _sqrt_table(p)]
+    if k == 1:
+        total = sum(s[poly_eval(f, x, p)] for x in range(p))
+        return total + (1 if curve.degree == 5 else s[f[-1]])
+    powers = [(d, d * d % p, d * d * d % p) for d in range(1, p) if not s[d]]
+    total = 1 if curve.degree == 5 else 2
+    pad = (0,) * (6 - curve.degree)
+    for h in range(p):
+        g0, g1, g2, g3, g4, g5, g6 = _shifted(f + pad, h, p)
+        total += (2 if g0 else 1) + 2 * sum([
+            s[((g0 + g2 * d + g4 * d2 + g6 * d3) ** 2
+               - d * (g1 + g3 * d + g5 * d2) ** 2) % p]
+            for d, d2, d3 in powers
+        ])
+    return total
 
 
 def char_poly_from_counts(N1: int, N2: int, p: int) -> FrobeniusPoly:

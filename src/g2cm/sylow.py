@@ -16,7 +16,7 @@ import sympy
 
 from .cm_field import CMFieldParams, FrobeniusElement
 from .errors import CoefficientC2ZeroError, NotPrimitiveError
-from .frobenius import char_poly_product, group_order
+from .frobenius import FrobeniusPoly, char_poly_product, group_order
 
 SMALL_PRIMES = (2, 3, 5)
 
@@ -33,6 +33,11 @@ def p_adic_valuation(N: int, p: int) -> int:
         raise ValueError(f"N must be >= 1, got {N}")
     if not sympy.isprime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return _valuation(N, p)
+
+
+def _valuation(N: int, p: int) -> int:
+    """p_adic_valuation for N ≥ 1 and a p already known to be prime."""
     v = 0
     while N % p == 0:
         N //= p
@@ -205,10 +210,11 @@ class SylowVerdict:
     v: int
     sylow_order: int
     theorem_holds: bool
+    char_poly: FrobeniusPoly
 
 
 def analyze(field: CMFieldParams, w: FrobeniusElement) -> SylowVerdict:
-    """Full pipeline: norm → P(X) → N = P(1) → v_p(N).
+    """Full pipeline: norm → P(X) → N = P(1) → v_p(N); the verdict keeps P(X).
 
     Error precedence is fixed: primitivity of the field, then c2 ≠ 0,
     then primality of the relative norm, which char_poly_product checks.
@@ -221,13 +227,14 @@ def analyze(field: CMFieldParams, w: FrobeniusElement) -> SylowVerdict:
         raise CoefficientC2ZeroError(
             "c2 = 0 forces a biquadratic (non-primitive) CM field"
         )
-    poly = char_poly_product(w)
-    N = group_order(poly)
-    v = p_adic_valuation(N, poly.p)
+    poly = char_poly_product(w)  # proves p = ωω̄ prime
+    N = group_order(poly)  # ≥ (√p − 1)⁴ > 0
+    v = _valuation(N, poly.p)
     return SylowVerdict(
         p=poly.p,
         N=N,
         v=v,
         sylow_order=poly.p ** v,
         theorem_holds=v <= 1,
+        char_poly=poly,
     )

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from g2cm import cli, frobenius, sylow
 from g2cm.cli import SCAN_MAX_CURVES, main
 
 
@@ -72,6 +73,21 @@ class TestAnalyzeCommand:
                             "-c", "1,1,1,1")
         assert code == 2
         assert env["error"]["code"] == "not-primitive"
+
+    def test_one_char_poly_product(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return frobenius.char_poly_product(w)
+
+        monkeypatch.setattr(cli, "char_poly_product", counting)
+        monkeypatch.setattr(sylow, "char_poly_product", counting)
+        code, env = run_cli(capsys, "analyze", "-D", "2", "-a", "2", "-b", "1",
+                            "-c", "1,1,2,-1")
+        assert code == 0 and len(calls) == 1
+        assert env["results"]["char_poly_product"]["coeffs_low_first"] == [
+            "49", "-28", "10", "-4", "1"]
 
 
 class TestCharpolyCommand:
@@ -145,6 +161,24 @@ class TestOracleCommand:
                             "--coeffs", "1,0,0,0,0,1", "--mode", "enumerate")
         assert code == 2
         assert env["error"]["code"] == "budget-exceeded"
+
+    @pytest.mark.parametrize("mode", ["count", "enumerate"])
+    def test_large_p_rejected_at_once(self, capsys, mode):
+        start = time.perf_counter()
+        code, env = run_cli(capsys, "oracle", "-p", "100003",
+                            "--coeffs", "1,0,0,0,0,1", "--mode", mode)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert env["error"]["code"] == "budget-exceeded"
+
+    def test_count_below_the_cap(self, capsys):
+        # x ↦ x⁵ permutes F_997 and F_997², so y² = x⁵ + 1 has p^k + 1 points
+        code, env = run_cli(capsys, "oracle", "-p", "997",
+                            "--coeffs", "1,0,0,0,0,1", "--mode", "count")
+        assert code == 0
+        r = env["results"]
+        assert (r["N1"], r["N2"]) == ("998", "994010")
+        assert r["char_poly"]["coeffs_low_first"] == ["994009", "0", "0", "0", "1"]
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
     @pytest.mark.parametrize("command", ["oracle", "scan"])

@@ -19,6 +19,7 @@ from g2cm import (
     validate_field,
     xi_square_rule,
 )
+from g2cm import cm_field
 from g2cm.cm_field import MAX_DISCRIMINANT, is_squarefree
 from g2cm.errors import (
     DomainMismatchError,
@@ -58,6 +59,38 @@ class TestXiSquareRule:
         assert xi_square_rule(below)[0] in (below, (below - 1) // 4)
         with pytest.raises(InvalidDiscriminantError, match="at most"):
             xi_square_rule(above)
+
+
+class TestDiscriminantCheckCache:
+    D = 99_999_998  # squarefree, so trial division runs to √D / 2
+
+    @pytest.fixture
+    def trial_divisions(self, monkeypatch):
+        runs = []
+
+        def counting(n):
+            runs.append(n)
+            return is_squarefree(n)
+
+        monkeypatch.setattr(cm_field, "is_squarefree", counting)
+        cm_field._check_discriminant.cache_clear()
+        yield runs
+        cm_field._check_discriminant.cache_clear()
+
+    def test_once_per_discriminant(self, trial_divisions):
+        u = RealQuadElem(3, 1, self.D)
+        v = u
+        for _ in range(20):
+            v = (v * u - u).conjugate()
+            assert u.norm() == 9 - self.D
+        assert xi_square_rule(self.D) == (self.D, 0)
+        assert trial_divisions == [self.D]
+
+    def test_bad_discriminant_raises_every_time(self, trial_divisions):
+        for _ in range(3):
+            with pytest.raises(InvalidDiscriminantError):
+                RealQuadElem(1, 1, 99_999_999)  # 9 · 11111111
+        assert trial_divisions == [99_999_999] * 3
 
 
 class TestRingArithmetic:

@@ -30,6 +30,7 @@ from g2cm.errors import (
 )
 from g2cm.oracle import (
     IDENTITY,
+    MAX_COUNT_PRIME,
     _compose_reduce,
     _invariant_factors_from_torsion,
     _scalar_mul,
@@ -41,6 +42,7 @@ from g2cm.oracle import (
     poly_eval,
     poly_is_squarefree,
     poly_mod,
+    poly_mul,
     random_squarefree_quintics,
 )
 
@@ -50,11 +52,22 @@ C3 = GenusTwoCurve(p=3, f=(1, 0, 0, 0, 0, 1))     # y² = x⁵ + 1 over F₃
 ALL_P3 = [GenusTwoCurve(p=3, f=f) for f in all_squarefree_quintics(3)]
 
 
-def random_squarefree_quintic(p: int, rng: random.Random) -> GenusTwoCurve:
+def random_squarefree(p: int, degree: int, rng: random.Random,
+                      factor: tuple[int, ...] = (1,)) -> tuple[int, ...]:
+    """The first squarefree factor·g over F_p, g drawn with deg g = degree."""
     while True:
-        f = tuple(rng.randrange(p) for _ in range(5)) + (rng.randrange(1, p),)
+        g = tuple(rng.randrange(p) for _ in range(degree)) + (rng.randrange(1, p),)
+        f = poly_mul(factor, g, p)
         if poly_is_squarefree(f, p):
-            return GenusTwoCurve(p=p, f=f)
+            return f
+
+
+def random_squarefree_quintic(p: int, rng: random.Random) -> GenusTwoCurve:
+    return GenusTwoCurve(p=p, f=random_squarefree(p, 5, rng))
+
+
+def non_residue(p: int) -> int:
+    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
 
 
 def divisors_reference(curve: GenusTwoCurve) -> list[MumfordDivisor]:
@@ -83,6 +96,31 @@ def divisors_reference(curve: GenusTwoCurve) -> list[MumfordDivisor]:
                     if (2 * v1 * v0 - t1) % p == fm1 and (v0 * v0 - t0) % p == fm0:
                         out.append(MumfordDivisor(u=u, v=_trim([v0, v1])))
     return out
+
+
+def count_points_k2_reference(curve: GenusTwoCurve) -> int:
+    """#C(F_{p²}) by evaluating f at every x of F_p[t]/(t² − n): O(p²) steps
+    of tuple arithmetic, n the smallest quadratic non-residue."""
+    p, f = curve.p, curve.f
+    n = non_residue(p)
+
+    def mul2(a, b):
+        a0, a1 = a
+        b0, b1 = b
+        return ((a0 * b0 + a1 * b1 * n) % p, (a0 * b1 + a1 * b0) % p)
+
+    counts2: dict[tuple[int, int], int] = {}
+    for y in product(range(p), repeat=2):
+        z = mul2(y, y)
+        counts2[z] = counts2.get(z, 0) + 1
+    total = 0
+    for x in product(range(p), repeat=2):
+        acc = (0, 0)
+        for c in reversed(f):
+            acc = mul2(acc, x)
+            acc = ((acc[0] + c) % p, acc[1])
+        total += counts2.get(acc, 0)
+    return total + (1 if curve.degree == 5 else counts2.get((f[-1], 0), 0))
 
 
 def element_order(d: MumfordDivisor, curve: GenusTwoCurve) -> int:
@@ -237,6 +275,13 @@ class TestCountPoints:
                 )
                 assert count_points(c, 1) == affine + 1
 
+    def test_count_cap(self):
+        assert sympy.nextprime(MAX_COUNT_PRIME) == 1009
+        c = GenusTwoCurve(p=1009, f=(1, 0, 0, 0, 0, 1))
+        for k in (1, 2):
+            with pytest.raises(BudgetExceededError, match="point-counting limit"):
+                count_points(c, k)
+
     def test_weil_bounds_on_counts(self):
         rng = random.Random(11)
         for p in (3, 5, 7):
@@ -245,6 +290,59 @@ class TestCountPoints:
                 for k in (1, 2):
                     nk = count_points(c, k)
                     assert abs(p ** k + 1 - nk) <= 4 * p ** (k / 2) + 1e-9
+
+
+class TestCountPointsK2:
+    """The sum of norms over irreducible quadratics against the reference."""
+
+    @staticmethod
+    def check(curve):
+        assert count_points(curve, 2) == count_points_k2_reference(curve)
+
+    def test_all_quintics_at_three(self):
+        for c in ALL_P3:
+            self.check(c)
+
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_seeded_curves(self, degree):
+        rng = random.Random(41 + degree)
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for _ in range(4 if p < 20 else 2):
+                self.check(GenusTwoCurve(p=p, f=random_squarefree(p, degree, rng)))
+
+    def test_sextics_with_non_residue_leading_coefficient(self):
+        # no point at infinity over F_p, two over F_{p²}
+        rng = random.Random(43)
+        for p in (3, 5, 7, 11, 13):
+            for _ in range(4):
+                g = random_squarefree(p, 6, rng)
+                f = poly_mul((non_residue(p) * pow(g[-1], -1, p),), g, p)
+                c = GenusTwoCurve(p=p, f=f)
+                assert count_points(c, 1) == sum(
+                    1 for x in range(p) for y in range(p)
+                    if (y * y - poly_eval(f, x, p)) % p == 0)
+                self.check(c)
+
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_roots_in_f_p(self, degree):
+        # f = (x − a)·g: f(a) = 0 gives the single point (a, 0)
+        rng = random.Random(47)
+        for p in (5, 7, 11, 13):
+            for a in range(p):
+                f = random_squarefree(p, degree - 1, rng, factor=((-a) % p, 1))
+                assert poly_eval(f, a, p) == 0
+                self.check(GenusTwoCurve(p=p, f=f))
+
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_irreducible_quadratic_factor(self, degree):
+        # f = m·g with m = x² + u1x + u0 irreducible: Res(m, f) = 0
+        rng = random.Random(53)
+        for p in (3, 5, 7, 11, 13):
+            n = non_residue(p)
+            for u1 in range(p):
+                u0 = (u1 * u1 - n) * pow(4, -1, p) % p  # u1² − 4u0 = n
+                f = random_squarefree(p, degree - 2, rng, factor=(u0, u1, 1))
+                self.check(GenusTwoCurve(p=p, f=f))
 
 
 class TestCharPolyFromCounts:

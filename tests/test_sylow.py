@@ -9,6 +9,7 @@ from g2cm import (
     FrobeniusElement,
     analyze,
     char_poly_closed,
+    char_poly_product,
     coefficient_bounds,
     group_order,
     lemma1_check,
@@ -131,6 +132,20 @@ class TestAnalyze:
         assert (verdict.p, verdict.N, verdict.sylow_order) == (7, 28, 7)
         assert verdict.v == 1
         assert verdict.theorem_holds
+
+    def test_keeps_char_poly_and_tests_p_once(self, monkeypatch):
+        f = validate_field(2, 2, 1)
+        w = FrobeniusElement(1, 1, 2, -1, f)
+        tested, isprime = [], sympy.isprime
+
+        def counting(n):
+            tested.append(n)
+            return isprime(n)
+
+        monkeypatch.setattr(sympy, "isprime", counting)
+        verdict = analyze(f, w)
+        assert tested == [7]  # in char_poly_product, not again for v_p
+        assert verdict.char_poly == char_poly_product(w)
 
     def test_not_primitive(self):
         f = validate_field(2, 1, 0)
