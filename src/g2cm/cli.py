@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from .cm_field import CMFieldParams, FrobeniusElement, validate_field
 from .errors import G2CMError, InvalidArgumentError
-from .frobenius import char_poly_closed, char_poly_product, group_order, weil_validate
+from .frobenius import char_poly_product, closed_form, group_order, weil_validate
 from .oracle import (
     DEFAULT_BUDGET,
     GenusTwoCurve,
@@ -96,7 +96,7 @@ def _frobenius(args) -> tuple[CMFieldParams, FrobeniusElement]:
 
 def _both_forms(args, product) -> dict:
     """p, P(X) by conjugate product and by closed form, and N = P(1)."""
-    closed = char_poly_closed(product.p, args.c[0], args.c[1], args.D)
+    closed = closed_form(product.p, args.c[0], args.c[1], args.D)
     return {
         "p": _s(product.p),
         "char_poly_closed": _poly_payload(closed),

@@ -26,20 +26,12 @@ from .errors import (
     NotTotallyImaginaryError,
     ReducibleQuarticError,
 )
+from .primes import factorint
 
 
 def is_squarefree(n: int) -> bool:
     """True iff n > 0 has no repeated prime factor (trial division)."""
-    if n <= 0:
-        return False
-    if n % 4 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 2
-    return True
+    return n > 0 and all(e == 1 for e in factorint(n).values())
 
 
 #: Largest accepted D.  It bounds the trial division in is_squarefree

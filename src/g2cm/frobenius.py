@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
 from .cm_field import FrobeniusElement, relative_norm, xi_square_rule
 from .errors import InternalInvariantError, NormNotPrimeError
+from .primes import is_prime
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,20 @@ class FrobeniusPoly:
 
 
 def char_poly_closed(p: int, c1: int, c2: int, D: int) -> FrobeniusPoly:
-    """P(X) from the closed form in (p, c1, c2, D).
+    """P(X) from the closed form in (p, c1, c2, D); p must be prime."""
+    if not is_prime(p):
+        raise NormNotPrimeError(f"p = {p} is not prime")
+    return closed_form(p, c1, c2, D)
+
+
+def closed_form(p: int, c1: int, c2: int, D: int) -> FrobeniusPoly:
+    """char_poly_closed for a p already proven prime, e.g. by char_poly_product.
 
     D ≡ 2, 3 (mod 4):
         X⁴ − 4c1X³ + (2p + 4(c1² − c2²D))X² − 4c1pX + p²
     D ≡ 1 (mod 4), with c = 2c1 + c2:
         X⁴ − 2cX³ + (2p + c² − c2²D)X² − 2cpX + p²
     """
-    if not sympy.isprime(p):
-        raise NormNotPrimeError(f"p = {p} is not prime")
     xi_square_rule(D)  # validates D
     if D % 4 == 1:
         c = 2 * c1 + c2
@@ -78,7 +82,7 @@ def char_poly_product(w: FrobeniusElement) -> FrobeniusPoly:
     all rational integers by construction.
     """
     nrm = relative_norm(w)
-    if not nrm.is_rational() or not sympy.isprime(nrm.x):
+    if not nrm.is_rational() or not is_prime(nrm.x):
         raise NormNotPrimeError(
             f"relative norm ωω̄ = {nrm} is not a rational prime"
         )

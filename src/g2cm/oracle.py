@@ -17,10 +17,9 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import sympy
-
 from .errors import BudgetExceededError, InternalInvariantError, InvalidCurveError
 from .frobenius import FrobeniusPoly
+from .primes import factorint, is_prime
 
 Poly = tuple[int, ...]
 
@@ -138,7 +137,7 @@ def poly_is_squarefree(a: Poly, p: int) -> bool:
 
 def check_odd_prime(p: int) -> None:
     """Raise InvalidCurveError unless p is an odd prime."""
-    if p < 3 or not sympy.isprime(p):
+    if p < 3 or not is_prime(p):
         raise InvalidCurveError(f"p must be an odd prime, got {p}")
 
 
@@ -511,7 +510,7 @@ def enumerate_jacobian(curve: GenusTwoCurve,
         )
     elements = enumerate_divisors(curve)
     N = len(elements)
-    n_factors = {int(q): int(e) for q, e in sympy.factorint(N).items()}
+    n_factors = factorint(N)
     torsion = {q: _torsion_counts(elements, q, e, curve)
                for q, e in n_factors.items() if e > 1}
     inv = _invariant_factors_from_torsion(n_factors, torsion)

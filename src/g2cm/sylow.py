@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-import sympy
-
 from .cm_field import CMFieldParams, FrobeniusElement
 from .errors import CoefficientC2ZeroError, NotPrimitiveError
 from .frobenius import FrobeniusPoly, char_poly_product, group_order
+from .primes import is_prime
 
 SMALL_PRIMES = (2, 3, 5)
 
@@ -31,7 +30,7 @@ def p_adic_valuation(N: int, p: int) -> int:
     """Largest v with p^v | N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return _valuation(N, p)
 
@@ -53,7 +52,7 @@ def lemma1_check(p: int) -> bool:
     p > 5 and fails for p ∈ {2, 3, 5}; it is what makes 4 | N rule
     out p² | N at large p.
     """
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return p * p - 6 * p + 1 > 0
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from g2cm import cli, frobenius, sylow
+from g2cm import cli, frobenius, oracle, primes, sylow
 from g2cm.cli import SCAN_MAX_CURVES, main
 
 
@@ -88,6 +88,21 @@ class TestAnalyzeCommand:
         assert code == 0 and len(calls) == 1
         assert env["results"]["char_poly_product"]["coeffs_low_first"] == [
             "49", "-28", "10", "-4", "1"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "charpoly"])
+def test_tests_p_once(capsys, monkeypatch, command):
+    tested = []
+
+    def counting(n):
+        tested.append(n)
+        return primes.is_prime(n)
+
+    for module in (frobenius, oracle, sylow):
+        monkeypatch.setattr(module, "is_prime", counting)
+    code, _ = run_cli(capsys, command, "-D", "2", "-a", "2", "-b", "1",
+                      "-c", "1,1,2,-1")
+    assert code == 0 and tested == [7]
 
 
 class TestCharpolyCommand:
@@ -302,8 +317,10 @@ class TestEnvelopeContract:
         assert "galois_type: Cyclic" in out
 
     def test_no_subcommand_imports_numpy(self):
+        # sympy is blocked outright: any import of it fails
         script = textwrap.dedent("""
             import contextlib, io, sys
+            sys.modules["sympy"] = None
             from g2cm.cli import main
             for argv in (
                 ["field", "-D", "2", "-a", "2", "-b", "1"],

@@ -162,16 +162,26 @@ def torsion_counts(factors: tuple[int, ...], q: int, e: int) -> list[int]:
     return counts
 
 
+#: Draws nonsquarefree_curves takes before it gives up; at p = 3, 5, 7
+#: the first three curves of non-squarefree order come within 9 draws.
+NONSQUAREFREE_MAX_DRAWS = 100
+
+
 def nonsquarefree_curves(p: int, n: int) -> list[GenusTwoCurve]:
     """The first n seeded curves at p whose group order is not squarefree."""
     rng, out = random.Random(p), []
-    while len(out) < n:
+    for _ in range(NONSQUAREFREE_MAX_DRAWS):
         c = random_squarefree_quintic(p, rng)
         N = group_order(char_poly_from_counts(count_points(c, 1),
                                               count_points(c, 2), p))
         if any(e > 1 for e in sympy.factorint(N).values()):
             out.append(c)
-    return out
+            if len(out) == n:
+                return out
+    raise RuntimeError(
+        f"only {len(out)} of {n} curves at p = {p} have a non-squarefree "
+        f"order in {NONSQUAREFREE_MAX_DRAWS} draws; are the point counts wrong?"
+    )
 
 
 #: Seeded curves at p = 3, 5, 7 and their divisors, for the group-law

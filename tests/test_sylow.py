@@ -11,10 +11,12 @@ from g2cm import (
     char_poly_closed,
     char_poly_product,
     coefficient_bounds,
+    frobenius,
     group_order,
     lemma1_check,
     max_discriminant,
     p_adic_valuation,
+    primes,
     validate_field,
 )
 from g2cm.errors import CoefficientC2ZeroError, NormNotPrimeError, NotPrimitiveError
@@ -136,13 +138,13 @@ class TestAnalyze:
     def test_keeps_char_poly_and_tests_p_once(self, monkeypatch):
         f = validate_field(2, 2, 1)
         w = FrobeniusElement(1, 1, 2, -1, f)
-        tested, isprime = [], sympy.isprime
+        tested = []
 
         def counting(n):
             tested.append(n)
-            return isprime(n)
+            return primes.is_prime(n)
 
-        monkeypatch.setattr(sympy, "isprime", counting)
+        monkeypatch.setattr(frobenius, "is_prime", counting)
         verdict = analyze(f, w)
         assert tested == [7]  # in char_poly_product, not again for v_p
         assert verdict.char_poly == char_poly_product(w)
