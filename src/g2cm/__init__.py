@@ -5,7 +5,6 @@ from .cm_field import (
     FrobeniusElement,
     GaloisType,
     RealQuadElem,
-    embeddings,
     relative_norm,
     validate_field,
     xi_square_rule,
@@ -33,7 +32,6 @@ from .sylow import (
     analyze,
     coefficient_bounds,
     lemma1_check,
-    max_discriminant,
     p_adic_valuation,
     verify_lemma2,
 )
@@ -56,11 +54,9 @@ __all__ = [
     "char_poly_product",
     "coefficient_bounds",
     "count_points",
-    "embeddings",
     "enumerate_jacobian",
     "group_order",
     "lemma1_check",
-    "max_discriminant",
     "p_adic_valuation",
     "p_sylow_structure",
     "relative_norm",

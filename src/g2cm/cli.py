@@ -304,6 +304,14 @@ def _render_pretty(envelope: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+def _set_error(envelope: dict, exc: G2CMError) -> int:
+    """Turn envelope into the error report for exc; returns the exit code."""
+    envelope["results"] = None
+    envelope["status"] = "error"
+    envelope["error"] = {"code": exc.code, "message": exc.message}
+    return EXIT_INPUT_ERROR
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     # argparse sets .command before it parses the subcommand's options
@@ -316,15 +324,18 @@ def main(argv: list[str] | None = None) -> int:
         envelope["results"] = results
         envelope["status"] = "ok"
     except G2CMError as exc:
-        envelope["results"] = None
-        envelope["status"] = "error"
-        envelope["error"] = {"code": exc.code, "message": exc.message}
-        code = EXIT_INPUT_ERROR
+        code = _set_error(envelope, exc)
     envelope["command"] = args.command
     payload = json.dumps(envelope, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+    if args.out is not None:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            code = _set_error(envelope, InvalidArgumentError(
+                f"cannot write --out {args.out!r}: {exc.strerror}"
+            ))
+            payload = json.dumps(envelope, indent=2)
     print(_render_pretty(envelope) if args.pretty else payload)
     return code
 

@@ -7,14 +7,12 @@ The ring element ξ depends on the squarefree parameter D:
 
 so ξ² = D in the first case and ξ² = ξ + (D − 1)/4 in the second.
 A quartic CM field is K = Q(η) with η = i√(a + bξ); its real subfield
-is K0 = Q(√D).  All coefficient arithmetic is exact over plain Python
-integers; floating point enters only in :func:`embeddings`, which is a
-diagnostic.
+is K0 = Q(√D).  All arithmetic is exact over plain Python integers;
+the module has no floating point.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -109,7 +107,7 @@ class RealQuadElem:
         return RealQuadElem(x, y, self.D)
 
     def conjugate(self) -> RealQuadElem:
-        """The nontrivial real embedding ξ ↦ ξ′ applied coefficient-wise.
+        """The Galois conjugation ξ ↦ ξ′ of Q(√D), applied coefficient-wise.
 
         ξ′ = −ξ for D ≡ 2, 3 (mod 4) and ξ′ = 1 − ξ for D ≡ 1 (mod 4).
         """
@@ -133,16 +131,8 @@ class RealQuadElem:
     def is_rational(self) -> bool:
         return self.y == 0
 
-    def embed(self, conjugate: bool = False) -> float:
-        """Float value under one of the two real embeddings."""
-        sqrt_d = math.sqrt(self.D)
-        if conjugate:
-            sqrt_d = -sqrt_d
-        xi = (1 + sqrt_d) / 2 if self.D % 4 == 1 else sqrt_d
-        return self.x + self.y * xi
-
     def is_totally_positive(self) -> bool:
-        """u > 0 under both real embeddings, decided exactly."""
+        """u > 0 and u′ > 0 (both real places of Q(√D)), decided exactly."""
         t = self.trace()
         # t/2 +- (y/2)√disc > 0 for both signs <=> t > 0 and t² > y²·disc
         disc = self.D if self.D % 4 == 1 else 4 * self.D
@@ -269,19 +259,3 @@ def relative_norm(w: FrobeniusElement) -> RealQuadElem:
     beta = w.beta()
     return alpha * alpha + beta * beta * w.field.eta_squared_negated()
 
-
-def embeddings(w: FrobeniusElement) -> tuple[complex, complex, complex, complex]:
-    """The four complex conjugates (ω1, ω̄1, ω3, ω̄3) of ω.
-
-    Double-precision diagnostics only (relative error around 1e-15 per
-    arithmetic step, so well below 1e-12 for the small coefficients in
-    use); never feeds exact coefficient computation.
-    """
-    out = []
-    for conj in (False, True):
-        xi = RealQuadElem(0, 1, w.field.D).embed(conjugate=conj)
-        eta = 1j * cmath.sqrt(w.field.a + w.field.b * xi)
-        w1 = (w.c1 + w.c2 * xi) + (w.c3 + w.c4 * xi) * eta
-        out.append(w1)
-        out.append(w1.conjugate())
-    return (out[0], out[1], out[2], out[3])

@@ -74,7 +74,7 @@ def char_poly_product(w: FrobeniusElement) -> FrobeniusPoly:
     """P(X) = ∏(X − ωᵢ) via exact symmetric functions in Z + ξZ.
 
     With α = c1 + c2ξ, the conjugate pairs (ω, ω̄) and (ω₃, ω̄₃)
-    contribute, per real embedding, the pair sum 2α and pair product
+    contribute, one per real place of K0, the pair sum 2α and pair product
     ωω̄ = p.  The elementary symmetric functions are then
 
         e1 = 2·Tr(α),  e2 = 2p + 4·N(α),  e3 = 2p·Tr(α),  e4 = p²,

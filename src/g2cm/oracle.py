@@ -264,15 +264,11 @@ class MumfordDivisor:
     u: Poly
     v: Poly
 
-    @staticmethod
-    def identity() -> MumfordDivisor:
-        return MumfordDivisor(u=(1,), v=())
-
     def is_identity(self) -> bool:
         return self.u == (1,)
 
 
-IDENTITY = MumfordDivisor.identity()
+IDENTITY = MumfordDivisor(u=(1,), v=())
 
 
 def _on_curve(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:

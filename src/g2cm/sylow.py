@@ -61,10 +61,7 @@ def _largest_scaled_root(M: int, D: int) -> int:
     """Largest k >= 0 with k²·D <= M, or -1 when even k = 0 fails."""
     if M < 0:
         return -1
-    k = isqrt(M // D)
-    while (k + 1) ** 2 * D <= M:
-        k += 1
-    return k
+    return isqrt(M // D)  # k²·D ≤ M ⟺ k² ≤ ⌊M/D⌋
 
 
 @dataclass(frozen=True)
@@ -104,21 +101,6 @@ def coefficient_bounds(p: int, D: int) -> CoefficientBounds:
         c1m = _largest_scaled_root(p, 1)
         c2m = _largest_scaled_root(p, D)
     return CoefficientBounds(c1_min=-c1m, c1_max=c1m, c2_min=-c2m, c2_max=c2m)
-
-
-def max_discriminant(p: int, branch: int) -> int:
-    """Largest D compatible with c2 ≠ 0 at characteristic p ≤ 5.
-
-    branch selects the residue class of D mod 4: branch 2 or 3 gives 5
-    (from c2²D ≤ p ≤ 5), branch 1 gives 20 (from c2²D ≤ 4p ≤ 20).
-    """
-    if p not in SMALL_PRIMES:
-        raise ValueError(f"p must be one of {SMALL_PRIMES}, got {p}")
-    if branch == 1:
-        return 20
-    if branch in (2, 3):
-        return 5
-    raise ValueError(f"branch must be 1, 2 or 3, got {branch}")
 
 
 def order_from_factored_form(p: int, c1: int, c2: int, D: int) -> int:

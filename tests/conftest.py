@@ -1,22 +1,24 @@
 """Shared fixtures, including the full (field, ω) verification grid.
 
 The grid covers every primitive validated field with D ≤ 20 and
-|a|, |b| ≤ 8, and every ω with |c_i| ≤ 6 whose relative norm is a
-rational prime.  A numpy prefilter locates the rational-prime-norm
-quadruples; every case kept in the grid is re-verified exactly.
+|a|, |b| ≤ 8, and every ω with |c_i| ≤ 6 whose relative norm
+α² + β²·(a + bξ) is a rational prime, computed exactly in Z + ξZ.
+Also the float reference :func:`embeddings`, which the package itself
+never uses.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
-import sympy
 
-from g2cm import CMFieldParams, RealQuadElem, validate_field
+from g2cm import CMFieldParams, FrobeniusElement, RealQuadElem, validate_field
 from g2cm.cm_field import is_squarefree
 from g2cm.errors import G2CMError
+from g2cm.primes import is_prime
 
 GRID_D_MAX = 20
 GRID_AB_MAX = 8
@@ -45,40 +47,44 @@ class GridCase:
 
 
 def _build_grid() -> list[GridCase]:
+    """Every (c1, c2, c3, c4) with α² + β²·(a + bξ) a rational prime.
+
+    The β terms are bucketed by ξ-coordinate, so only the pairs whose
+    norm has ξ-coordinate 0 are formed; cases come in (α, β) order.
+    """
     c_range = range(-GRID_C_MAX, GRID_C_MAX + 1)
     pairs = [(i, j) for i in c_range for j in c_range]
-    prime_limit = 4 * (
-        2 * GRID_C_MAX ** 2 * (1 + GRID_D_MAX)
-        * (2 * GRID_AB_MAX * (1 + GRID_D_MAX))
-    )
-    prime_lookup = np.zeros(prime_limit + 1, dtype=bool)
-    for q in sympy.primerange(2, prime_limit + 1):
-        prime_lookup[q] = True
-
     cases = []
     for field in iter_validated_fields():
         if not field.primitive():
             continue
         t = field.eta_squared_negated()
-        alpha_sq = [RealQuadElem(i, j, field.D) * RealQuadElem(i, j, field.D)
-                    for i, j in pairs]
-        beta_sq_t = [RealQuadElem(i, j, field.D)
-                     * RealQuadElem(i, j, field.D) * t for i, j in pairs]
-        ax = np.array([e.x for e in alpha_sq], dtype=np.int64)
-        ay = np.array([e.y for e in alpha_sq], dtype=np.int64)
-        bx = np.array([e.x for e in beta_sq_t], dtype=np.int64)
-        by = np.array([e.y for e in beta_sq_t], dtype=np.int64)
-        norm_x = ax[:, None] + bx[None, :]
-        norm_y = ay[:, None] + by[None, :]
-        candidate = (norm_y == 0) & (norm_x >= 2) & (norm_x <= prime_limit)
-        candidate &= prime_lookup[np.clip(norm_x, 0, prime_limit)]
-        for i, j in np.argwhere(candidate):
-            c1, c2 = pairs[i]
-            c3, c4 = pairs[j]
-            cases.append(GridCase(field=field,
-                                  c=(c1, c2, c3, c4),
-                                  p=int(norm_x[i, j])))
+        squares = [RealQuadElem(i, j, field.D) * RealQuadElem(i, j, field.D)
+                   for i, j in pairs]
+        beta_by_y: dict[int, list[tuple[tuple[int, int], int]]] = {}
+        for beta, sq in zip(pairs, squares):
+            term = sq * t
+            beta_by_y.setdefault(term.y, []).append((beta, term.x))
+        for alpha, sq in zip(pairs, squares):
+            for beta, x in beta_by_y.get(-sq.y, ()):
+                p = sq.x + x
+                if is_prime(p):
+                    cases.append(GridCase(field=field, c=alpha + beta, p=p))
     return cases
+
+
+def embeddings(w: FrobeniusElement) -> tuple[complex, complex, complex, complex]:
+    """The four complex conjugates (ω1, ω̄1, ω3, ω̄3) of ω, in floats.
+
+    A test-only reference, accurate to about 1e-15 per step.
+    """
+    out = []
+    for sqrt_d in (math.sqrt(w.field.D), -math.sqrt(w.field.D)):
+        xi = (1 + sqrt_d) / 2 if w.field.D % 4 == 1 else sqrt_d
+        eta = 1j * cmath.sqrt(w.field.a + w.field.b * xi)
+        w1 = (w.c1 + w.c2 * xi) + (w.c3 + w.c4 * xi) * eta
+        out += [w1, w1.conjugate()]
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")

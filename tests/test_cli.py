@@ -310,6 +310,17 @@ class TestEnvelopeContract:
         printed = json.loads(capsys.readouterr().out)
         assert on_disk == printed
 
+    def test_unwritable_out_is_invalid_argument(self, capsys, tmp_path):
+        # a missing parent directory, a directory, and an empty path
+        for target in (tmp_path / "missing" / "x.json", tmp_path, ""):
+            code, env = run_cli(capsys, f"--out={target}", "field", "-D", "2",
+                                "-a", "2", "-b", "1")
+            assert code == 2, target
+            assert env["status"] == "error"
+            assert env["results"] is None
+            assert env["error"]["code"] == "invalid-argument"
+            assert list(env) == ["command", "inputs", "results", "status", "error"]
+
     def test_pretty_is_human_readable(self, capsys):
         code = main(["--pretty", "field", "-D", "2", "-a", "2", "-b", "1"])
         out = capsys.readouterr().out

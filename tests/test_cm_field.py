@@ -14,7 +14,6 @@ from g2cm import (
     FrobeniusElement,
     GaloisType,
     RealQuadElem,
-    embeddings,
     relative_norm,
     validate_field,
     xi_square_rule,
@@ -26,7 +25,7 @@ from g2cm.errors import (
     InvalidDiscriminantError,
     NotTotallyImaginaryError,
 )
-from conftest import iter_validated_fields
+from conftest import embeddings, iter_validated_fields
 
 SQUAREFREE_SMALL = [d for d in range(2, 51) if is_squarefree(d)]
 

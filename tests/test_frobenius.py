@@ -204,7 +204,7 @@ def test_product_matches_numeric_conjugate_expansion(frobenius_grid):
     """Exact coefficients equal the rounded numeric ∏(X − ωᵢ) expansion."""
     import numpy as np
 
-    from g2cm import embeddings
+    from conftest import embeddings
 
     for case in frobenius_grid[::17]:
         w = FrobeniusElement(*case.c, case.field)

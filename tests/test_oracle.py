@@ -388,7 +388,7 @@ class TestCharPolyFromCounts:
 class TestCantorAdd:
     def test_identity(self):
         for d in enumerate_divisors(C3):
-            assert cantor_add(d, MumfordDivisor.identity(), C3) == d
+            assert cantor_add(d, IDENTITY, C3) == d
 
     def test_inverse(self):
         for d in enumerate_divisors(C3):
@@ -405,7 +405,7 @@ class TestCantorAdd:
 
     def test_rejects_degree_six_model(self):
         sextic = GenusTwoCurve(p=3, f=(1, 1, 0, 0, 0, 0, 1))
-        d = MumfordDivisor.identity()
+        d = IDENTITY
         with pytest.raises(InvalidCurveError):
             cantor_add(d, d, sextic)
 

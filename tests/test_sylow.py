@@ -14,13 +14,19 @@ from g2cm import (
     frobenius,
     group_order,
     lemma1_check,
-    max_discriminant,
     p_adic_valuation,
     primes,
     validate_field,
 )
+from g2cm.cm_field import is_squarefree
 from g2cm.errors import CoefficientC2ZeroError, NormNotPrimeError, NotPrimitiveError
-from g2cm.sylow import order_from_factored_form
+from g2cm.sylow import (
+    DISCRIMINANTS_1,
+    DISCRIMINANTS_23,
+    SMALL_PRIMES,
+    _largest_scaled_root,
+    order_from_factored_form,
+)
 
 
 class TestPAdicValuation:
@@ -74,18 +80,33 @@ class TestCoefficientBounds:
         with pytest.raises(ValueError):
             coefficient_bounds(7, 2)
 
+    def test_largest_scaled_root_brute_force(self):
+        for D in range(1, 41):
+            k = -1  # largest k with k²·D ≤ M, as M walks up from −5
+            for M in range(-5, 2001):
+                while (k + 1) ** 2 * D <= M:
+                    k += 1
+                assert _largest_scaled_root(M, D) == k, (M, D)
+
+
+def _discriminants_admitting_c2(branches: tuple[int, ...]) -> tuple[int, ...]:
+    """Squarefree D ≤ 100 with D mod 4 in branches where some p ≤ 5 allows c2 ≠ 0."""
+    return tuple(D for D in range(2, 101)
+                 if D % 4 in branches and is_squarefree(D)
+                 and any(coefficient_bounds(p, D).c2_max > 0 for p in SMALL_PRIMES))
+
 
 class TestMaxDiscriminant:
+    """verify_lemma2 walks exactly the discriminants where c2 ≠ 0 fits."""
+
     def test_branch_23(self):
-        assert max_discriminant(5, 2) == 5
-        assert max_discriminant(5, 3) == 5
+        assert _discriminants_admitting_c2((2, 3)) == DISCRIMINANTS_23
 
     def test_branch_1(self):
-        assert max_discriminant(5, 1) == 20
+        assert _discriminants_admitting_c2((1,)) == DISCRIMINANTS_1
 
     def test_p2_effective_filter(self):
         # c2² D ≤ 2 with c2 ≠ 0 forces D = 2 on the 2,3-branch
-        assert max_discriminant(2, 2) == 5
         b3 = coefficient_bounds(2, 3)
         assert (b3.c2_min, b3.c2_max) == (0, 0)
         b2 = coefficient_bounds(2, 2)
