@@ -336,7 +336,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"cannot write --out {args.out!r}: {exc.strerror}"
             ))
             payload = json.dumps(envelope, indent=2)
-    print(_render_pretty(envelope) if args.pretty else payload)
+    try:
+        print(_render_pretty(envelope) if args.pretty else payload, flush=True)
+    except BrokenPipeError:
+        # The reader is gone, so no report can reach it.  Point stdout at
+        # devnull so that the interpreter's final flush does not raise too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
     return code
 
 

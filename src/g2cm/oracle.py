@@ -2,8 +2,11 @@
 
 Point counts over F_p and F_{p²} recover the Frobenius quartic through
 the Weil relations, and full divisor enumeration with Cantor's group
-law recovers the group order and abelian structure directly.  The two
-routes are independent of the CM machinery and of each other.
+law recovers the group order and abelian structure directly.  The
+enumeration takes the divisors with split u from chords and tangents
+through the F_p-points, and those with irreducible u from a square root
+of f mod u in F_p[x]/(u).  The two routes are independent of the CM
+machinery and of each other.
 
 Polynomials over F_p are plain tuples of ints, low degree first, with
 no trailing zeros (the zero polynomial is the empty tuple).
@@ -344,54 +347,76 @@ def _scalar_mul(k: int, d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivis
     return acc
 
 
-def _v_solutions(u1: int, u0: int, fm1: int, fm0: int, p: int,
+def _v_solutions(u1: int, u0: int, r1: int, r0: int, p: int,
                  roots: list[list[int]], inv: list[int]) -> list[tuple[int, int]]:
-    """All (v1, v0) with (v1x + v0)² ≡ fm1x + fm0 (mod x² + u1x + u0).
+    """All (v1, v0) with (v1x + v0)² ≡ r1x + r0 (mod u), u = x² + u1x + u0
+    irreducible over F_p: u1² − 4u0 must be a non-residue.
 
     ``roots`` is ``_sqrt_table(p)`` and ``inv[z]`` the inverse of z ≠ 0.
 
     With x² ≡ −u1x − u0 the congruence reads
-        2·v1·v0 − w·u1 = fm1,   v0² − w·u0 = fm0,   w = v1².
-    v1 = 0 forces fm1 = 0 and v0² = fm0.  For v1 ≠ 0, v0 = (fm1 + w·u1)/(2v1)
-    and eliminating v0 leaves (u1² − 4u0)w² + (2·fm1·u1 − 4·fm0)w + fm1² = 0.
+        2·v1·v0 − w·u1 = r1,   v0² − w·u0 = r0,   w = v1².
+    v1 = 0 forces r1 = 0 and v0² = r0.  For v1 ≠ 0, v0 = (r1 + w·u1)/(2v1)
+    and eliminating v0 leaves (u1² − 4u0)w² + (2·r1·u1 − 4·r0)w + r1² = 0,
+    whose leading coefficient is nonzero.  F_p[x]/(u) is a field, so there
+    are at most two solutions and none is found twice.
     """
-    out = [(0, v0) for v0 in roots[fm0]] if fm1 == 0 else []
+    out = [(0, v0) for v0 in roots[r0]] if r1 == 0 else []
     a = (u1 * u1 - 4 * u0) % p
-    b = (2 * fm1 * u1 - 4 * fm0) % p
-    c = fm1 * fm1 % p
-    if a:
-        disc = (b * b - 4 * a * c) % p
-        inv_2a = inv[2 * a % p]
-        ws = {(r - b) * inv_2a % p for r in roots[disc]}
-    elif b:
-        ws = {-c * inv[b] % p}
-    else:
-        # u = (x + u1/2)²: every w solves if f ≡ 0 (mod u), none otherwise
-        ws = set() if c else set(range(1, p))
-    for w in ws:
+    b = (2 * r1 * u1 - 4 * r0) % p
+    inv_2a = inv[2 * a % p]
+    for r in roots[(b * b - 4 * a * r1 * r1) % p]:
+        w = (r - b) * inv_2a % p
         for v1 in roots[w]:
             if v1:
-                out.append((v1, (fm1 + w * u1) * inv[2 * v1 % p] % p))
-    return sorted(out)
+                out.append((v1, (r1 + w * u1) * inv[2 * v1 % p] % p))
+    return out
+
+
+def _linear(v0: int, v1: int) -> Poly:
+    """v1x + v0 as a trimmed Poly."""
+    return (v0, v1) if v1 else (v0,) if v0 else ()
 
 
 def enumerate_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
     """All reduced Mumford divisors on a degree-5 curve, in O(p²) steps.
 
-    For each monic u of degree ≤ 2 the v with v² ≡ f (mod u) are solved
-    for directly: square roots of f(a) for u = x − a, and the quadratic
-    of ``_v_solutions`` for u = x² + u1x + u0.
+    A reduced divisor of degree ≤ 2 is 0, a point P, a sum P + Q of
+    F_p-points with Q ≠ −P, or a conjugate pair over F_{p²} (Cantor
+    1987).  The first three come from the affine points (a, y): u = x − a
+    and v = y for P; the chord through P and Q for a ≠ b, with
+    u = (x − a)(x − b); the tangent at P for y ≠ 0, with u = (x − a)²,
+    v(a) = y and v′(a) = f′(a)/(2y).  A double root of u lies in F_p, so
+    the rest are the irreducible u = x² + u1x + u0: f is reduced mod u
+    and ``_v_solutions`` takes the square root in F_p[x]/(u).
     """
     p, f = curve.p, curve.f
     roots = _sqrt_table(p)
     inv = [0] + [pow(z, -1, p) for z in range(1, p)]
+    # the x-coordinates of affine points, each with its y, ascending
+    fibres = [(a, ys) for a in range(p) if (ys := roots[poly_eval(f, a, p)])]
+    df = poly_derivative(f, p)
     out = [IDENTITY]
-    for a in range(p):
-        for b in roots[poly_eval(f, a, p)]:
-            out.append(MumfordDivisor(u=((-a) % p, 1), v=(b,) if b else ()))
+    for i, (a, ys) in enumerate(fibres):
+        for y in ys:
+            out.append(MumfordDivisor(u=((-a) % p, 1), v=_linear(y, 0)))
+            if y:  # tangent at (a, y)
+                v1 = poly_eval(df, a, p) * inv[2 * y % p] % p
+                out.append(MumfordDivisor(u=(a * a % p, -2 * a % p, 1),
+                                          v=_linear((y - v1 * a) % p, v1)))
+        for b, zs in fibres[i + 1:]:  # chords from (a, y) to (b, z), a < b
+            u = (a * b % p, (-a - b) % p, 1)
+            inv_ab = inv[(a - b) % p]
+            for y in ys:
+                for z in zs:
+                    v1 = (y - z) * inv_ab % p
+                    out.append(MumfordDivisor(u=u, v=_linear((y - v1 * a) % p, v1)))
     top = tuple(reversed(f))
+    inv_4 = inv[4 % p]
+    non_residues = [d for d in range(1, p) if not roots[d]]
     for u1 in range(p):
-        for u0 in range(p):
+        for d in non_residues:  # u1² − 4u0 = d
+            u0 = (u1 * u1 - d) * inv_4 % p
             # f mod u by Horner on r = r1x + r0:
             #   r·x + c ≡ (r0 − r1u1)x + (c − r1u0)
             r1 = r0 = 0
@@ -399,7 +424,7 @@ def enumerate_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
                 r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
             u = (u0, u1, 1)
             for v1, v0 in _v_solutions(u1, u0, r1, r0, p, roots, inv):
-                out.append(MumfordDivisor(u=u, v=_trim([v0, v1])))
+                out.append(MumfordDivisor(u=u, v=_linear(v0, v1)))
     return out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -359,3 +360,19 @@ class TestEnvelopeContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "ok"
+
+    def test_closed_stdout_is_input_error(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "g2cm.cli", "oracle", "-p", "3",
+                 "--coeffs", "1,0,0,0,0,1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == ""

@@ -20,6 +20,7 @@ from g2cm import (
     count_points,
     enumerate_jacobian,
     group_order,
+    oracle,
     p_sylow_structure,
     weil_validate,
 )
@@ -474,6 +475,20 @@ class TestEnumerateJacobian:
         with pytest.raises(BudgetExceededError):
             enumerate_jacobian(c, budget=100)
 
+    def test_independent_of_point_counts(self, monkeypatch):
+        # the enumeration must not share code with the counting route
+        # that scan cross-checks it against
+        rng = random.Random(41)
+        curves = [random_squarefree_quintic(p, rng) for p in (5, 7, 23)]
+        want = [enumerate_jacobian(c) for c in curves]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration used the counting route")
+
+        for name in ("count_points", "_shifted", "char_poly_from_counts"):
+            monkeypatch.setattr(oracle, name, refuse)
+        assert [enumerate_jacobian(c) for c in curves] == want
+
 
 class TestPSylowStructure:
     def test_ten_at_five(self):
@@ -494,6 +509,15 @@ class TestPSylowStructure:
                                                {2: [two_torsion]}) == (2, 14)
 
 
+#: Curves of order 2q at p = 23, 29 and 31 with their group orders.
+LARGE_CURVES = [
+    (23, (10, 7, 3, 21, 14, 15), 346),
+    (23, (0, 2, 9, 15, 19, 19), 358),
+    (29, (19, 10, 24, 23, 0, 8), 458),
+    (31, (15, 1, 27, 2, 26, 14), 622),
+]
+
+
 class TestEnumerateDivisors:
     @staticmethod
     def check(curve):
@@ -509,26 +533,47 @@ class TestEnumerateDivisors:
 
     def test_seeded_curves(self):
         rng = random.Random(37)
-        repeated_root = v1_zero = 0
+        reached = Counter()
         for p in (5, 7, 11, 13):
             for _ in range(3):
                 for d in self.check(random_squarefree_quintic(p, rng)):
                     if len(d.u) == 3:
                         u0, u1, _ = d.u
-                        repeated_root += (u1 * u1 - 4 * u0) % p == 0
-                        v1_zero += len(d.v) < 2
-        # both special branches of the solver were reached
-        assert repeated_root and v1_zero
+                        disc = (u1 * u1 - 4 * u0) % p
+                        if disc == 0:
+                            reached["tangent"] += 1
+                        elif pow(disc, (p - 1) // 2, p) == 1:
+                            reached["chord"] += 1
+                        else:
+                            reached["irreducible u | f"] += d.v == ()
+                            reached["irreducible, v1 = 0"] += len(d.v) < 2
+        # every branch of the enumeration was reached
+        branches = ("tangent", "chord", "irreducible u | f",
+                    "irreducible, v1 = 0")
+        assert all(reached[b] for b in branches), reached
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_v_solutions_brute_force(self, p):
         roots = [[y for y in range(p) if y * y % p == z] for z in range(p)]
         inv = [0] + [pow(z, -1, p) for z in range(1, p)]
-        for u1, u0, fm1, fm0 in product(range(p), repeat=4):
+        irreducible = [(u1, u0) for u1, u0 in product(range(p), repeat=2)
+                       if pow(u1 * u1 - 4 * u0, (p - 1) // 2, p) == p - 1]
+        assert len(irreducible) == p * (p - 1) // 2
+        for (u1, u0), r1, r0 in product(irreducible, range(p), range(p)):
             want = [(v1, v0) for v1 in range(p) for v0 in range(p)
-                    if (2 * v1 * v0 - v1 * v1 * u1 - fm1) % p == 0
-                    and (v0 * v0 - v1 * v1 * u0 - fm0) % p == 0]
-            assert _v_solutions(u1, u0, fm1, fm0, p, roots, inv) == want
+                    if (2 * v1 * v0 - v1 * v1 * u1 - r1) % p == 0
+                    and (v0 * v0 - v1 * v1 * u0 - r0) % p == 0]
+            got = _v_solutions(u1, u0, r1, r0, p, roots, inv)
+            assert len(got) == len(set(got))
+            assert sorted(got) == want
+
+    @pytest.mark.parametrize("p, f, order", LARGE_CURVES)
+    def test_large_prime_anchor(self, p, f, order):
+        curve = GenusTwoCurve(p=p, f=f)
+        got = self.check(curve)
+        P = char_poly_from_counts(count_points(curve, 1),
+                                  count_points(curve, 2), p)
+        assert len(got) == group_order(P) == order
 
 
 class TestGroupLaw:
