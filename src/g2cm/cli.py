@@ -150,9 +150,10 @@ def cmd_lemma2(args) -> tuple[dict, int]:
 
 def cmd_oracle(args) -> tuple[dict, int]:
     curve = GenusTwoCurve(p=args.p, f=args.coeffs)
+    # O(p), and refuses p above MAX_COUNT_PRIME before any enumeration
+    n1 = count_points(curve, 1)
     structure = (enumerate_jacobian(curve, budget=_budget())
                  if args.mode == "enumerate" else None)
-    n1 = count_points(curve, 1)
     n2 = count_points(curve, 2)
     P = char_poly_from_counts(n1, n2, curve.p)
     if structure is None:
@@ -194,10 +195,9 @@ def cmd_scan(args) -> tuple[dict, int]:
     mismatches = []
     for f in curves:
         curve = GenusTwoCurve(p=args.p, f=f)
+        n1 = count_points(curve, 1)  # refuses p above MAX_COUNT_PRIME first
         order = enumerate_jacobian(curve, budget=budget).order
-        P = char_poly_from_counts(
-            count_points(curve, 1), count_points(curve, 2), args.p
-        )
+        P = char_poly_from_counts(n1, count_points(curve, 2), args.p)
         if group_order(P) != order:
             mismatches.append(
                 {"coeffs": list(f), "order": _s(order), "P1": _s(group_order(P))}

@@ -1,12 +1,19 @@
 """Brute-force ground truth for genus-2 Jacobians over small prime fields.
 
 Point counts over F_p and F_{p²} recover the Frobenius quartic through
-the Weil relations, and full divisor enumeration with Cantor's group
-law recovers the group order and abelian structure directly.  The
+the Weil relations, and full divisor enumeration with the group law
+recovers the group order and abelian structure directly.  The
 enumeration takes the divisors with split u from chords and tangents
 through the F_p-points, and those with irreducible u from a square root
 of f mod u in F_p[x]/(u).  The two routes are independent of the CM
 machinery and of each other.
+
+The group law is Cantor's (Cantor 1987) written out on plain ints mod p
+for the degree-5 model (``_GroupLaw``; Lange 2005 gives such formulas for
+monic f): a reduced divisor is a tuple (u1, u0, v1, v0), (u0, v0) or (),
+and doubling and addition compose, then reduce once.  Every case has an
+explicit formula, so there is no generic fallback; the polynomial
+version of Cantor's algorithm lives in the tests as the reference.
 
 Polynomials over F_p are plain tuples of ints, low degree first, with
 no trailing zeros (the zero polynomial is the empty tuple).
@@ -14,6 +21,7 @@ no trailing zeros (the zero polynomial is the empty tuple).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -101,25 +109,6 @@ def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
     return poly_monic(a, p)
 
 
-def poly_xgcd(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly, Poly]:
-    """(g, s, t) with g = s·a + t·b and g monic (or zero)."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
-    if r0 and r0[-1] != 1:
-        inv = pow(r0[-1], p - 2, p)
-        scale = (inv,)
-        r0 = poly_mul(scale, r0, p)
-        s0 = poly_mul(scale, s0, p)
-        t0 = poly_mul(scale, t0, p)
-    return r0, s0, t0
-
-
 def poly_eval(a: Poly, x: int, p: int) -> int:
     acc = 0
     for c in reversed(a):
@@ -134,6 +123,37 @@ def poly_derivative(a: Poly, p: int) -> Poly:
 def poly_is_squarefree(a: Poly, p: int) -> bool:
     """True iff a has no repeated root over the algebraic closure of F_p."""
     return len(poly_gcd(a, poly_derivative(a, p), p)) == 1
+
+
+def _poly_powmod(a: Poly, n: int, m: Poly, p: int) -> Poly:
+    """a^n mod m, n ≥ 0."""
+    out: Poly = (1,)
+    while n:
+        if n & 1:
+            out = poly_mod(poly_mul(out, a, p), m, p)
+        n >>= 1
+        if n:
+            a = poly_mod(poly_mul(a, a, p), m, p)
+    return out
+
+
+def _irreducible_factor_count(f: Poly, p: int) -> int:
+    """The number of irreducible factors over F_p of a squarefree f with
+    deg f ≤ 5, by distinct-degree gcds.
+
+    gcd(g, x^(p^k) − x) is the product of the factors of degree k of g
+    once those of lower degree are divided out.  After k = 1, 2 what is
+    left has no factor of degree ≤ 2 and degree ≤ 5, so it is 1 or
+    irreducible.
+    """
+    g, x, h, count = poly_monic(f, p), (0, 1), (0, 1), 0
+    for k in (1, 2):
+        h = _poly_powmod(h, p, g, p)  # x^(p^k) mod g
+        d = poly_gcd(g, poly_sub(h, x, p), p)
+        count += (len(d) - 1) // k
+        g = poly_divmod(g, d, p)[0]
+        h = poly_mod(h, g, p)
+    return count + (len(g) > 1)
 
 
 # ------------------------------------------------------------------ curve
@@ -283,43 +303,215 @@ def _on_curve(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:
     return poly_mod(poly_sub(vv, curve.f, curve.p), d.u, curve.p) == ()
 
 
-def _check_exact(rem: Poly) -> None:
-    if rem:
-        raise InternalInvariantError(f"Cantor division left remainder {rem}")
+def _linear(v0: int, v1: int) -> Poly:
+    """v1x + v0 as a trimmed Poly."""
+    return (v0, v1) if v1 else (v0,) if v0 else ()
 
 
-def _compose_reduce(d1: MumfordDivisor, d2: MumfordDivisor,
-                    curve: GenusTwoCurve) -> MumfordDivisor:
-    p, f = curve.p, curve.f
-    u1, v1 = d1.u, d1.v
-    u2, v2 = d2.u, d2.v
-    # composition (Cantor): d = s1·u1 + s2·u2 + s3·(v1 + v2)
-    d0, e1, e2 = poly_xgcd(u1, u2, p)
-    d, c1, c2 = poly_xgcd(d0, poly_add(v1, v2, p), p)
-    s1 = poly_mul(c1, e1, p)
-    s2 = poly_mul(c1, e2, p)
-    s3 = c2
-    u, rem = poly_divmod(poly_mul(u1, u2, p), poly_mul(d, d, p), p)
-    _check_exact(rem)
-    num = poly_add(
-        poly_add(poly_mul(s1, poly_mul(u1, v2, p), p),
-                 poly_mul(s2, poly_mul(u2, v1, p), p), p),
-        poly_mul(s3, poly_add(poly_mul(v1, v2, p), f, p), p), p)
-    v, rem = poly_divmod(num, d, p)
-    _check_exact(rem)
-    v = poly_mod(v, u, p)
-    # reduction to deg u <= 2
-    while len(u) - 1 > 2:
-        u, rem = poly_divmod(poly_sub(f, poly_mul(v, v, p), p), u, p)
-        _check_exact(rem)
-        u = poly_monic(u, p)
-        v = poly_mod(poly_neg(v, p), u, p)
-    return MumfordDivisor(u=poly_monic(u, p), v=v)
+# ------------------------------------------------------ explicit group law
+
+#: A reduced divisor as a tuple of ints mod p, by weight: () is 0,
+#: (u0, v0) is u = x + u0 with v = v0, and (u1, u0, v1, v0) is
+#: u = x² + u1x + u0 with v = v1x + v0.
+Key = tuple[int, ...]
+
+
+def _key(d: MumfordDivisor, p: int) -> Key:
+    u, v = d.u, d.v + (0, 0)
+    if len(u) == 3:
+        return (u[1] % p, u[0] % p, v[1] % p, v[0] % p)
+    return (u[0] % p, v[0] % p) if len(u) == 2 else ()
+
+
+def _divisor(k: Key) -> MumfordDivisor:
+    if len(k) == 4:
+        u1, u0, v1, v0 = k
+        return MumfordDivisor(u=(u0, u1, 1), v=_linear(v0, v1))
+    return MumfordDivisor(u=(k[0], 1), v=_linear(k[1], 0)) if k else IDENTITY
+
+
+@functools.lru_cache(maxsize=16)
+def _inverses(p: int) -> tuple[int, ...]:
+    """inv[z] = z⁻¹ mod p for z ≠ 0, inv[0] = 0."""
+    return (0,) + tuple(pow(z, -1, p) for z in range(1, p))
+
+
+class _GroupLaw:
+    """Explicit doubling and addition of Keys on y² = f, deg f = 5.
+
+    Each sum composes U = u₁u₂ and a V ≡ vᵢ (mod uᵢ) with V² ≡ f (mod U):
+    by CRT when the u are coprime, and by a Hensel lift V = v + k·u over a
+    common root, as in doubling.  One reduction then gives u′ =
+    monic((f − V²)/U) and v′ = −V mod u′ (Cantor 1987; Lange 2005 writes
+    the steps out for monic f).  f keeps its leading coefficient f5, and
+    every inverse comes from a table.  Every case has its formula: a
+    point over a root of u either cancels or is lifted, and two weight-2
+    divisors with a common root are added one point at a time.
+    """
+
+    __slots__ = ("p", "inv", "f", "df", "inv_f5")
+
+    def __init__(self, curve: GenusTwoCurve) -> None:
+        self.p = curve.p
+        self.inv = _inverses(curve.p)
+        self.f = curve.f
+        self.df = tuple(reversed(poly_derivative(curve.f, curve.p)))
+        self.inv_f5 = self.inv[curve.f[5]]
+
+    def neg(self, d: Key) -> Key:
+        p = self.p
+        if len(d) == 4:
+            return (d[0], d[1], -d[2] % p, -d[3] % p)
+        return (d[0], -d[1] % p) if d else ()
+
+    def mul(self, k: int, d: Key) -> Key:
+        """k·d for k ≥ 1, by doubling and adding from the top bit."""
+        acc = d
+        for bit in bin(k)[3:]:
+            acc = self.dbl(acc)
+            if bit == "1":
+                acc = self.add(acc, d)
+        return acc
+
+    def tangent(self, a: int, y: int) -> Key:
+        """2·(a, y) for y ≠ 0: u = (x − a)², v(a) = y, v′(a) = f′(a)/(2y)."""
+        p = self.p
+        slope = 0
+        for c in self.df:
+            slope = (slope * a + c) % p
+        v1 = slope * self.inv[2 * y % p] % p
+        return (-2 * a % p, a * a % p, v1, (y - v1 * a) % p)
+
+    def quotient(self, u1: int, u0: int, v1: int) -> tuple[int, int, int]:
+        """(t2, t1, t0) with (f − v²)/u = f5x³ + t2x² + t1x + t0."""
+        _, _, f2, f3, f4, f5 = self.f
+        t2 = f4 - u1 * f5
+        t1 = f3 - u1 * t2 - u0 * f5
+        return t2, t1, f2 - v1 * v1 - u1 * t1 - u0 * t2
+
+    def dbl(self, d: Key) -> Key:
+        p, inv = self.p, self.inv
+        if len(d) == 2:  # a point: 0 at a Weierstrass point, else the tangent
+            return self.tangent(-d[0] % p, d[1]) if d[1] else ()
+        if not d:
+            return ()
+        u1, u0, v1, v0 = d
+        res = (v0 * v0 - u1 * v0 * v1 + u0 * v1 * v1) % p  # Res(u, v)
+        if not res:
+            if not (v1 or v0):  # u | f: Weierstrass points, 2-torsion
+                return ()
+            # v1 ≠ 0 (a nonzero constant has no root), and u splits: d is
+            # W + Q with W = (c, 0) and c = −v0/v1, so 2d = 2Q.
+            b = (v0 * inv[v1] - u1) % p
+            return self.tangent(b, (v1 * b + v0) % p)
+        # r = (f − v²)/u mod u, and k = r/(2v) mod u, since
+        # (v1x + v0)(−v1x + v0 − u1v1) ≡ Res(u, v)
+        f5 = self.f[5]
+        t2, t1, t0 = self.quotient(u1, u0, v1)
+        s = t2 - u1 * f5
+        r1 = (t1 - u0 * f5 - u1 * s) % p
+        r0 = (t0 - u0 * s) % p
+        w0 = v0 - u1 * v1
+        i = inv[2 * res % p]
+        k1 = (r1 * w0 - r0 * v1 + u1 * r1 * v1) * i % p
+        k0 = (r0 * w0 + u0 * r1 * v1) * i % p
+        # V = v + k·u, U = u²
+        return self.reduce(2 * u1, u1 * u1 + 2 * u0, k1, k0 + k1 * u1,
+                           v1 + k1 * u0 + k0 * u1, v0 + k0 * u0)
+
+    def reduce(self, U3: int, U2: int, V3: int, V2: int, V1: int,
+               V0: int) -> Key:
+        """(u′, v′) for U = x⁴ + U3x³ + U2x² + … and V = V3x³ + … + V0.
+
+        deg(f − V²) is 6 when V3 ≠ 0 and 5 when V3 = 0, so u′ has degree
+        2 or 1; only the top three coefficients of f − V² are needed.
+        """
+        p, inv = self.p, self.inv
+        _, _, _, _, f4, f5 = self.f
+        if V3 == 0:
+            c = (U3 * f5 + V2 * V2 - f4) * self.inv_f5 % p  # root of u′
+            return (-c % p, -((V2 * c + V1) * c + V0) % p)
+        q2 = -V3 * V3
+        q1 = f5 - 2 * V3 * V2 - U3 * q2
+        q0 = f4 - V2 * V2 - 2 * V3 * V1 - U3 * q1 - U2 * q2
+        i = inv[V3] ** 2
+        a1 = -q1 * i % p
+        a0 = -q0 * i % p
+        s = V2 - a1 * V3
+        return (a1, a0, (a0 * V3 + a1 * s - V1) % p, (a0 * s - V0) % p)
+
+    def add(self, d1: Key, d2: Key) -> Key:
+        if not d1:
+            return d2
+        if not d2:
+            return d1
+        if len(d1) < len(d2):
+            d1, d2 = d2, d1
+        p, inv = self.p, self.inv
+        if len(d1) == 2:  # two points
+            (a0, y), (b0, z) = d1, d2
+            if a0 != b0:  # the chord: u = (x + a0)(x + b0)
+                v1 = (y - z) * inv[(b0 - a0) % p] % p
+                return ((a0 + b0) % p, a0 * b0 % p, v1, (y + v1 * a0) % p)
+            return self.dbl(d1) if y == z else ()
+        u1, u0, v1, v0 = d1
+        if len(d2) == 2:  # d1 plus the point (b, z)
+            b0, z = d2
+            b = -b0
+            ub = (b * b + u1 * b + u0) % p
+            vb = (v1 * b + v0) % p
+            if ub:  # CRT: V = v + s·u with V(b) = z
+                s = (z - vb) * inv[ub] % p
+            elif (z + vb) % p == 0:  # d2 cancels d1's point over b
+                c = (-u1 - b) % p
+                return (-c % p, (v1 * c + v0) % p)
+            else:  # d2 is d1's point over b: V = v + s·u with
+                # (x − b) | (f − V²)/u = t − 2sv − s²u, so s = t(b)/(2z)
+                t2, t1, t0 = self.quotient(u1, u0, v1)
+                tb = ((self.f[5] * b + t2) * b + t1) * b + t0
+                s = tb * inv[2 * z % p] % p
+            # U = (x − b)·u has degree 3 and deg V ≤ 2, so u′ = (f − V²)/(f5·U)
+            V1, V0 = v1 + s * u1, v0 + s * u0
+            _, _, _, f3, f4, f5 = self.f
+            U2, U1 = u1 - b, u0 - b * u1
+            q1 = f4 - s * s - U2 * f5
+            q0 = f3 - 2 * s * V1 - U2 * q1 - U1 * f5
+            a1 = q1 * self.inv_f5 % p
+            a0 = q0 * self.inv_f5 % p
+            return (a1, a0, (a1 * s - V1) % p, (a0 * s - V0) % p)
+        w1, w0, z1, z0 = d2
+        # u mod w = e1x + e0 and Res(w, u)
+        e1, e0 = u1 - w1, u0 - w0
+        res = (e0 * e0 - w1 * e0 * e1 + w0 * e1 * e1) % p
+        if res:  # CRT: V = v + s·u with s = (z − v)/u mod w
+            g1, g0 = z1 - v1, z0 - v0
+            h0 = e0 - w1 * e1
+            i = inv[res]
+            s1 = (g1 * h0 - g0 * e1 + w1 * g1 * e1) * i % p
+            s0 = (g0 * h0 + w0 * g1 * e1) * i % p
+            return self.reduce(u1 + w1, u0 + w0 + u1 * w1, s1, s0 + u1 * s1,
+                               v1 + u1 * s0 + u0 * s1, v0 + u0 * s0)
+        if d1 == d2:
+            return self.dbl(d1)
+        if d2 == self.neg(d1):
+            return ()
+        # u and w share a root r in F_p: the root of u − w, or, for u = w,
+        # of v − z (v1 ≠ z1, else v − z would be a nonzero constant).  So w
+        # splits, d2 = (r, z(r)) + (t, z(t)), and d1 takes one at a time.
+        r = (-e0 * inv[e1 % p] if e1 else
+             (z0 - v0) * inv[(v1 - z1) % p]) % p
+        t = (-w1 - r) % p
+        return self.add(self.add(d1, (-r % p, (z1 * r + z0) % p)),
+                        (-t % p, (z1 * t + z0) % p))
 
 
 def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor,
                curve: GenusTwoCurve) -> MumfordDivisor:
-    """Group law on Jac(C)(F_p) for the odd-degree (deg f = 5) model."""
+    """Group law on Jac(C)(F_p) for the odd-degree (deg f = 5) model.
+
+    Checks that both divisors lie on the curve, then adds them with the
+    explicit law that the torsion counts use.
+    """
     if curve.degree != 5:
         raise InvalidCurveError(
             "divisor arithmetic requires the degree-5 model"
@@ -327,24 +519,11 @@ def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor,
     for d in (d1, d2):
         if not _on_curve(d, curve):
             raise InvalidCurveError(f"divisor (u={d.u}, v={d.v}) not on curve")
-    return _compose_reduce(d1, d2, curve)
+    return _divisor(_GroupLaw(curve).add(_key(d1, curve.p), _key(d2, curve.p)))
 
 
 def cantor_neg(d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
     return MumfordDivisor(u=d.u, v=poly_mod(poly_neg(d.v, curve.p), d.u, curve.p))
-
-
-def _scalar_mul(k: int, d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
-    acc = IDENTITY
-    base = d
-    while k:
-        if k & 1:
-            # base is reduced, so identity + base needs no composition
-            acc = base if acc.is_identity() else _compose_reduce(acc, base, curve)
-        k >>= 1
-        if k:
-            base = _compose_reduce(base, base, curve)
-    return acc
 
 
 def _v_solutions(u1: int, u0: int, r1: int, r0: int, p: int,
@@ -371,11 +550,6 @@ def _v_solutions(u1: int, u0: int, r1: int, r0: int, p: int,
             if v1:
                 out.append((v1, (r1 + w * u1) * inv[2 * v1 % p] % p))
     return out
-
-
-def _linear(v0: int, v1: int) -> Poly:
-    """v1x + v0 as a trimmed Poly."""
-    return (v0, v1) if v1 else (v0,) if v0 else ()
 
 
 def enumerate_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
@@ -455,20 +629,26 @@ def p_sylow_structure(invariant_factors: tuple[int, ...] | list[int],
     return out
 
 
-def _torsion_counts(elements: list[MumfordDivisor], q: int, e: int,
-                    curve: GenusTwoCurve) -> list[int]:
+def _torsion_counts(elements: list[Key], q: int, e: int,
+                    law: _GroupLaw) -> list[int]:
     """[#G[q], #G[q²], …] up to the first count equal to q^e, at most e.
 
-    Computes D ↦ q·D once per element; the higher powers are dict lookups.
+    Computes D ↦ q·D once per pair ±D, as q·(−D) = −(q·D); the higher
+    powers are dict lookups.
     """
-    times_q = {d: _scalar_mul(q, d, curve) for d in elements}
-    if any(d not in times_q for d in times_q.values()):
+    times_q: dict[Key, Key] = {}
+    for d in elements:
+        if d not in times_q:
+            qd = times_q[d] = law.mul(q, d)
+            times_q[law.neg(d)] = law.neg(qd)
+    if len(times_q) != len(elements) or any(
+            d not in times_q for d in times_q.values()):
         raise InternalInvariantError(f"{q}·D left the enumerated set")
     counts: list[int] = []
     images = elements
     while len(counts) < e and (not counts or counts[-1] != q ** e):
         images = [times_q[d] for d in images]
-        counts.append(sum(1 for d in images if d.is_identity()))
+        counts.append(images.count(()))
     return counts
 
 
@@ -515,8 +695,12 @@ def enumerate_jacobian(curve: GenusTwoCurve,
 
     The order is the number of enumerated divisors; the structure comes
     from q^k-torsion counts for the primes q with q² | N, so a squarefree
-    order costs no group operation.  Requires the degree-5 model and
-    (√p + 1)⁴ within the budget.
+    order costs no group operation.  #G[2] = 2^(m−1), with m the number
+    of irreducible factors of f over F_p, checks the doubling map, and
+    replaces it when the 2-part is elementary: a 2-torsion point is an
+    even set of Weierstrass points up to complement, and as ∞ is one of
+    them it is F_p-rational exactly when the set is Galois-stable.
+    Requires the degree-5 model and (√p + 1)⁴ within the budget.
     """
     if curve.degree != 5:
         raise InvalidCurveError(
@@ -532,8 +716,25 @@ def enumerate_jacobian(curve: GenusTwoCurve,
     elements = enumerate_divisors(curve)
     N = len(elements)
     n_factors = factorint(N)
-    torsion = {q: _torsion_counts(elements, q, e, curve)
-               for q, e in n_factors.items() if e > 1}
+    torsion: dict[int, list[int]] = {}
+    law = keys = None
+    for q, e in n_factors.items():
+        if e < 2:
+            continue
+        if q == 2:
+            # #G[2] = 2^(m−1), m the number of irreducible factors of f
+            two = 2 ** (_irreducible_factor_count(curve.f, p) - 1)
+            if two == 2 ** e:
+                torsion[2] = [two]
+                continue
+        if law is None:
+            law, keys = _GroupLaw(curve), [_key(d, p) for d in elements]
+        torsion[q] = _torsion_counts(keys, q, e, law)
+        if q == 2 and torsion[2][0] != two:
+            raise InternalInvariantError(
+                f"#G[2] = {torsion[2][0]} by doubling, but f has "
+                f"{two.bit_length()} irreducible factors over F_{p}"
+            )
     inv = _invariant_factors_from_torsion(n_factors, torsion)
     return GroupStructure(
         order=N,

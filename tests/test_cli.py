@@ -187,6 +187,21 @@ class TestOracleCommand:
         assert code == 2
         assert env["error"]["code"] == "budget-exceeded"
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "-p", "1009", "--coeffs", "1,2,3,4,5,1"],
+        ["scan", "-p", "1009", "--count", "1"],
+    ])
+    def test_large_p_rejected_at_once_with_a_large_budget(
+            self, capsys, monkeypatch, argv):
+        # the budget admits p = 1009, the point count does not
+        monkeypatch.setenv("CM2_BUDGET", "2000000")
+        start = time.perf_counter()
+        code, env = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert env["error"]["code"] == "budget-exceeded"
+        assert "point-counting limit" in env["error"]["message"]
+
     def test_count_below_the_cap(self, capsys):
         # x ↦ x⁵ permutes F_997 and F_997², so y² = x⁵ + 1 has p^k + 1 points
         code, env = run_cli(capsys, "oracle", "-p", "997",

@@ -32,18 +32,26 @@ from g2cm.errors import (
 from g2cm.oracle import (
     IDENTITY,
     MAX_COUNT_PRIME,
-    _compose_reduce,
+    _divisor,
+    _GroupLaw,
     _invariant_factors_from_torsion,
-    _scalar_mul,
+    _irreducible_factor_count,
+    _key,
+    _torsion_counts,
     _trim,
     _v_solutions,
     all_squarefree_quintics,
     cantor_neg,
     enumerate_divisors,
+    poly_add,
+    poly_divmod,
     poly_eval,
     poly_is_squarefree,
     poly_mod,
+    poly_monic,
     poly_mul,
+    poly_neg,
+    poly_sub,
     random_squarefree_quintics,
 )
 
@@ -99,6 +107,54 @@ def divisors_reference(curve: GenusTwoCurve) -> list[MumfordDivisor]:
     return out
 
 
+def poly_xgcd(a, b, p):
+    """(g, s, t) with g = s·a + t·b and g monic (or zero)."""
+    r0, r1 = a, b
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
+        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
+    if r0 and r0[-1] != 1:
+        scale = (pow(r0[-1], -1, p),)
+        r0, s0, t0 = (poly_mul(scale, g, p) for g in (r0, s0, t0))
+    return r0, s0, t0
+
+
+def exact_quotient(a, b, p):
+    q, rem = poly_divmod(a, b, p)
+    if rem:
+        raise InternalInvariantError(f"Cantor division left remainder {rem}")
+    return q
+
+
+def compose_reduce(d1: MumfordDivisor, d2: MumfordDivisor,
+                   curve: GenusTwoCurve) -> MumfordDivisor:
+    """d1 + d2 by generic Cantor (Cantor 1987) on polynomials: the
+    reference for the explicit law."""
+    p, f = curve.p, curve.f
+    u1, v1 = d1.u, d1.v
+    u2, v2 = d2.u, d2.v
+    # composition: d = s1·u1 + s2·u2 + s3·(v1 + v2)
+    d0, e1, e2 = poly_xgcd(u1, u2, p)
+    d, c1, c2 = poly_xgcd(d0, poly_add(v1, v2, p), p)
+    s1 = poly_mul(c1, e1, p)
+    s2 = poly_mul(c1, e2, p)
+    u = exact_quotient(poly_mul(u1, u2, p), poly_mul(d, d, p), p)
+    num = poly_add(
+        poly_add(poly_mul(s1, poly_mul(u1, v2, p), p),
+                 poly_mul(s2, poly_mul(u2, v1, p), p), p),
+        poly_mul(c2, poly_add(poly_mul(v1, v2, p), f, p), p), p)
+    v = poly_mod(exact_quotient(num, d, p), u, p)
+    # reduction to deg u <= 2
+    while len(u) - 1 > 2:
+        u = poly_monic(exact_quotient(poly_sub(f, poly_mul(v, v, p), p), u, p), p)
+        v = poly_mod(poly_neg(v, p), u, p)
+    return MumfordDivisor(u=poly_monic(u, p), v=v)
+
+
 def count_points_k2_reference(curve: GenusTwoCurve) -> int:
     """#C(F_{p²}) by evaluating f at every x of F_p[t]/(t² − n): O(p²) steps
     of tuple arithmetic, n the smallest quadratic non-residue."""
@@ -125,12 +181,17 @@ def count_points_k2_reference(curve: GenusTwoCurve) -> int:
 
 
 def element_order(d: MumfordDivisor, curve: GenusTwoCurve) -> int:
-    """Smallest k ≥ 1 with k·d = 0, by repeated addition."""
+    """Smallest k ≥ 1 with k·d = 0, by repeated generic Cantor addition."""
     k, acc = 1, d
     while not acc.is_identity():
-        acc = cantor_add(acc, d, curve)
+        acc = compose_reduce(acc, d, curve)
         k += 1
     return k
+
+
+def scalar_mul(k: int, d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
+    """k·d by the explicit law, k ≥ 1."""
+    return _divisor(_GroupLaw(curve).mul(k, _key(d, curve.p)))
 
 
 def abelian_groups(n: int, least: int = 1):
@@ -454,7 +515,7 @@ class TestEnumerateJacobian:
         c = random_squarefree_quintic(5, rng)
         g = enumerate_jacobian(c)
         for d in enumerate_divisors(c):
-            assert _scalar_mul(g.order, d, c).is_identity()
+            assert scalar_mul(g.order, d, c).is_identity()
 
     def test_invariant_factors_divide_in_chain(self):
         rng = random.Random(29)
@@ -607,7 +668,136 @@ class TestGroupLaw:
     def test_group_order_kills_every_divisor(self):
         for c, elems in GROUP_LAW:
             N = len(elems)
-            assert all(_scalar_mul(N, d, c).is_identity() for d in elems)
+            assert all(scalar_mul(N, d, c).is_identity() for d in elems)
+
+
+def resultant(u: tuple[int, int], w: tuple[int, int], p: int) -> int:
+    """Res(x² + u1x + u0, w1x + w0) for u = (u1, u0), w = (w1, w0)."""
+    (u1, u0), (w1, w0) = u, w
+    return (w0 * w0 - u1 * w0 * w1 + u0 * w1 * w1) % p
+
+
+def doubling_case(d: MumfordDivisor, curve: GenusTwoCurve) -> str:
+    """The named case of 2·d, read off d and the generic sum."""
+    p = curve.p
+    if d.is_identity():
+        return "zero"
+    v = d.v + (0, 0)
+    if len(d.u) == 2:
+        return "tangent" if v[0] else "weierstrass point"
+    u0, u1, _ = d.u
+    if v[:2] == (0, 0):
+        split = pow(u1 * u1 - 4 * u0, (p - 1) // 2, p) != p - 1
+        return "weierstrass pair" if split else "irreducible u, v = 0"
+    if resultant((u1, u0), (v[1], v[0]), p) == 0:
+        return "point plus weierstrass point"
+    if len(compose_reduce(d, d, curve).u) == 2:
+        return "weight-1 result"
+    return "tangent pair" if u1 * u1 % p == 4 * u0 % p else "general"
+
+
+DOUBLING_CASES = ("zero", "weierstrass point", "tangent", "weierstrass pair",
+                  "irreducible u, v = 0", "point plus weierstrass point",
+                  "weight-1 result", "tangent pair", "general")
+
+
+def addition_case(d1: MumfordDivisor, d2: MumfordDivisor,
+                  curve: GenusTwoCurve) -> str:
+    """The named case of d1 + d2, read off the two divisors."""
+    p = curve.p
+    if d1.is_identity() or d2.is_identity():
+        return "zero"
+    if d1 == d2:
+        return "equal"
+    if d1 == cantor_neg(d2, curve):
+        return "opposite"
+    if len(d1.u) < len(d2.u):
+        d1, d2 = d2, d1
+    if len(d1.u) == 2:
+        return "chord"
+    u0, u1, _ = d1.u
+    if len(d2.u) == 2:
+        b = -d2.u[0] % p
+        if poly_eval(d1.u, b, p):
+            return "point plus pair"
+        if (poly_eval(d1.v, b, p) + poly_eval(d2.v, b, p)) % p == 0:
+            return "point cancels"
+        return "point tripled" if u1 * u1 % p == 4 * u0 % p else "point lifted"
+    w0, w1, _ = d2.u
+    if resultant((w1, w0), (u1 - w1, u0 - w0), p):
+        return "coprime pairs"
+    return "pairs with the same u" if d1.u == d2.u else "pairs with a common root"
+
+
+ADDITION_CASES = ("zero", "equal", "opposite", "chord", "point plus pair",
+                  "point cancels", "point lifted", "point tripled",
+                  "coprime pairs", "pairs with the same u",
+                  "pairs with a common root")
+
+
+class TestExplicitLaw:
+    """The explicit law against generic Cantor (``compose_reduce``)."""
+
+    @staticmethod
+    def check_doublings(curve, reached):
+        law = _GroupLaw(curve)
+        for d in enumerate_divisors(curve):
+            twice = _divisor(law.dbl(_key(d, curve.p)))
+            assert twice == compose_reduce(d, d, curve), (curve, d)
+            reached[doubling_case(d, curve)] += 1
+
+    def test_every_doubling_at_three(self):
+        reached = Counter()
+        for c in ALL_P3:
+            self.check_doublings(c, reached)
+        assert all(reached[case] for case in DOUBLING_CASES), reached
+
+    def test_every_doubling_on_seeded_curves(self):
+        reached = Counter()
+        rng = random.Random(59)
+        for p, n in ((5, 3), (7, 3), (23, 2), (47, 1)):
+            for _ in range(n):
+                self.check_doublings(random_squarefree_quintic(p, rng), reached)
+        assert reached["general"] and reached["weight-1 result"], reached
+
+    def test_every_addition_case(self):
+        reached = Counter()
+        for c, elems in GROUP_LAW[:6]:  # p = 3 and 5
+            law = _GroupLaw(c)
+            keys = [_key(d, c.p) for d in elems]
+            for (d1, k1), (d2, k2) in product(zip(elems, keys), repeat=2):
+                case = addition_case(d1, d2, c)
+                reached[case] += 1
+                assert _divisor(law.add(k1, k2)) == compose_reduce(d1, d2, c)
+        assert all(reached[case] for case in ADDITION_CASES), reached
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(curve_and_divisors(2))
+    def test_sums_match_generic_cantor(self, drawn):
+        c, (d1, d2) = drawn
+        assert cantor_add(d1, d2, c) == compose_reduce(d1, d2, c)
+
+    def test_scalar_multiples_match_generic_cantor(self):
+        rng = random.Random(61)
+        for c, elems in GROUP_LAW:
+            for d in rng.sample(elems, min(5, len(elems))):
+                acc = IDENTITY
+                for k in range(1, 12):
+                    acc = compose_reduce(acc, d, c)
+                    assert scalar_mul(k, d, c) == acc
+
+    def test_negation(self):
+        for c, elems in GROUP_LAW:
+            law = _GroupLaw(c)
+            for d in elems:
+                assert _divisor(law.neg(_key(d, c.p))) == cantor_neg(d, c)
+
+    def test_keys_round_trip_and_reduce_mod_p(self):
+        for d in enumerate_divisors(C3):
+            assert _divisor(_key(d, 3)) == d
+        d = MumfordDivisor(u=(4, 1), v=(3,))  # x + 1 and v = 0 over F₃
+        assert _key(d, 3) == (1, 0)
+        assert cantor_add(d, IDENTITY, C3) == MumfordDivisor(u=(1, 1), v=())
 
 
 class TestStructureFromTorsion:
@@ -659,8 +849,66 @@ class TestStructureFromTorsion:
         with pytest.raises(InternalInvariantError):
             _invariant_factors_from_torsion(n_factors, torsion)
 
+    def test_image_outside_the_enumerated_set(self):
+        c = GROUP_LAW[0][0]
+        keys = [_key(d, 3) for d in enumerate_divisors(c)]
+        N = len(keys)
+        q = next(q for q in (2, 3, 5, 7) if N % (q * q) == 0)
+        assert _torsion_counts(keys, q, 2, _GroupLaw(c))
+        with pytest.raises(InternalInvariantError, match="left the enumerated"):
+            _torsion_counts(keys[1:], q, 2, _GroupLaw(c))  # no identity
+
     def test_off_curve_composition(self):
         # v² − f is not divisible by u, so reduction leaves a remainder
         d = MumfordDivisor(u=(0, 0, 1), v=(0, 1))
         with pytest.raises(InternalInvariantError):
-            _compose_reduce(d, d, C3)
+            compose_reduce(d, d, C3)
+
+
+class TestTwoTorsion:
+    """#G[2] = 2^(m−1), m the number of irreducible factors of f over F_p."""
+
+    @staticmethod
+    def sympy_factor_count(curve):
+        x = sympy.Symbol("x")
+        return len(sympy.Poly(curve.f[::-1], x, modulus=curve.p).factor_list()[1])
+
+    def test_factor_count_matches_sympy(self):
+        for c in ALL_P3:
+            assert _irreducible_factor_count(c.f, 3) == self.sympy_factor_count(c)
+        rng = random.Random(67)
+        for p in (5, 7, 11, 23, 47):
+            for _ in range(20):
+                c = random_squarefree_quintic(p, rng)
+                assert (_irreducible_factor_count(c.f, p)
+                        == self.sympy_factor_count(c))
+
+    def test_doubling_counts_the_same_two_torsion(self):
+        skipped = 0
+        for c in ALL_P3:
+            elems = enumerate_divisors(c)
+            e = sympy.multiplicity(2, len(elems))
+            if e < 2:
+                continue
+            two = 2 ** (_irreducible_factor_count(c.f, 3) - 1)
+            law = _GroupLaw(c)
+            counts = _torsion_counts([_key(d, 3) for d in elems], 2, e, law)
+            assert counts[0] == two
+            skipped += two == 2 ** e
+        assert skipped  # where the 2-part is elementary, doubling is skipped
+
+    def test_wrong_factor_count_raises(self, monkeypatch):
+        def count_plus_one(f, p):
+            return _irreducible_factor_count(f, p) + 1
+
+        monkeypatch.setattr(oracle, "_irreducible_factor_count", count_plus_one)
+        raised = 0
+        for c in ALL_P3:
+            N = len(enumerate_divisors(c))
+            e = sympy.multiplicity(2, N)
+            if e < 2 or 2 ** _irreducible_factor_count(c.f, 3) == 2 ** e:
+                continue  # doubling does not run under the wrong count
+            with pytest.raises(InternalInvariantError, match="irreducible"):
+                enumerate_jacobian(c)
+            raised += 1
+        assert raised
