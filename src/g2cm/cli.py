@@ -10,6 +10,7 @@ failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -218,7 +219,15 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgumentError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The g2cm argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so ``main`` reuses it on every
+    call.  Each subcommand binds its ``cmd_*`` function at that first
+    build, and the same parser object goes to every caller, so it must
+    not be modified; ``build_parser.__wrapped__()`` builds a fresh one.
+    """
     parser = _Parser(
         prog="g2cm",
         description="Frobenius characteristic polynomials and p-Sylow "

@@ -295,12 +295,24 @@ IDENTITY = MumfordDivisor(u=(1,), v=())
 
 
 def _on_curve(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:
-    if not d.u or d.u[-1] != 1 or len(d.u) - 1 > 2:
+    """u monic of degree ≤ 2, fewer coefficients in v than in u, and
+    v² ≡ f (mod u), with every coefficient read mod p."""
+    u, p = d.u, curve.p
+    if not u or u[-1] != 1 or len(u) > 3 or len(d.v) >= len(u):
         return False
-    if len(d.v) >= len(d.u):
-        return False
-    vv = poly_mul(d.v, d.v, curve.p)
-    return poly_mod(poly_sub(vv, curve.f, curve.p), d.u, curve.p) == ()
+    v0, v1 = (d.v + (0, 0))[:2]
+    if len(u) == 1:  # then v = ()
+        return True
+    if len(u) == 2:  # v0² = f(b) at the root b = −u0
+        return (v0 * v0 - poly_eval(curve.f, -u[0], p)) % p == 0
+    u0, u1 = u[0], u[1]
+    # f mod u by Horner on r = r1x + r0, as in enumerate_divisors, against
+    # v² ≡ (2v0 − u1v1)v1·x + v0² − u0v1² (mod u)
+    r1 = r0 = 0
+    for c in reversed(curve.f):
+        r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
+    return ((2 * v0 - u1 * v1) * v1 - r1) % p == 0 and \
+        (v0 * v0 - u0 * v1 * v1 - r0) % p == 0
 
 
 def _linear(v0: int, v1: int) -> Poly:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -391,3 +393,114 @@ class TestEnvelopeContract:
             os.close(write_end)
         assert proc.returncode == 2
         assert proc.stderr == ""
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The argv of each line of the README's CLI code block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(line[0] == "g2cm" for line in lines)
+    return [line[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_line_succeeds(capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+FIELD = ["field", "-D", "2", "-a", "2", "-b", "1"]
+ORACLE = ["oracle", "-p", "3", "--coeffs", "1,0,0,0,0,1"]
+
+#: One in-process sequence: (argv, CM2_BUDGET or None).  "OUT" is
+#: replaced by a path in the test's directory.
+SEQUENCE = [
+    (["oracle", "-p", "3", "--coeffs", "1,x"], None),
+    (["oracle", "--help"], None),
+    (["--out", "OUT"] + FIELD, None),
+    (["--pretty"] + FIELD, None),
+    (FIELD, None),
+    (["analyze", "-D", "2", "-a", "2", "-b", "1", "-c", "1,1,2,-1"], None),
+    (["analyze", "-D", "2", "-a", "2", "-b", "1", "-c", "1,0,1,0"], None),
+    (["charpoly", "-D", "2", "-a", "2", "-b", "1", "-c", "0,1,0,0"], None),
+    (["lemma2", "--rows"], None),
+    (ORACLE, None),
+    (ORACLE, "10"),
+    (["scan", "-p", "3", "--count", "2"], "x"),
+    (["scan", "-p", "3", "--all"], None),
+    ([], None),
+    (["--pretty", "nosuchcommand"], None),
+]
+
+
+def in_process(argv, budget, out, monkeypatch, capsys):
+    """(exit code, stdout, --out file) of main(argv) in this process."""
+    if budget is None:
+        monkeypatch.delenv("CM2_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CM2_BUDGET", budget)
+    out.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    written = out.read_text() if out.exists() else None
+    return code, capsys.readouterr().out, written
+
+
+def in_subprocess(argv, budget, out):
+    env = {k: v for k, v in os.environ.items() if k != "CM2_BUDGET"}
+    if budget is not None:
+        env["CM2_BUDGET"] = budget
+    out.unlink(missing_ok=True)
+    proc = subprocess.run([sys.executable, "-m", "g2cm.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.stderr == ""
+    written = out.read_text() if out.exists() else None
+    return proc.returncode, proc.stdout, written
+
+
+class TestParserReuse:
+    """main reuses one parser; each report is what a fresh parser gives."""
+
+    def test_sequence_matches_fresh_parsers_and_processes(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the width
+        out = tmp_path / "report.json"
+        runs = [([str(out) if a == "OUT" else a for a in argv], budget)
+                for argv, budget in SEQUENCE]
+        reused = [in_process(argv, budget, out, monkeypatch, capsys)
+                  for argv, budget in runs]
+        assert [r[0] for r in reused] == [2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 2,
+                                          0, 2, 2]
+        assert reused[2][2] == reused[4][1]  # --out holds the printed report
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [in_process(argv, budget, out, monkeypatch, capsys)
+                 for argv, budget in runs]
+        assert reused == fresh
+        assert reused == [in_subprocess(argv, budget, out)
+                          for argv, budget in runs]
+
+    def test_fifty_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        cli.build_parser.__wrapped__()
+        per_build = len(built)  # the top parser and one per subcommand
+        built.clear()
+        cli.build_parser.cache_clear()
+        for _ in range(50):
+            assert main(FIELD) == 0
+        capsys.readouterr()
+        assert len(built) == per_build == 7
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 49)

@@ -155,6 +155,16 @@ def compose_reduce(d1: MumfordDivisor, d2: MumfordDivisor,
     return MumfordDivisor(u=poly_monic(u, p), v=v)
 
 
+def on_curve_reference(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:
+    """v² ≡ f (mod u) on polynomials: the reference for ``_on_curve``."""
+    if not d.u or d.u[-1] != 1 or len(d.u) - 1 > 2:
+        return False
+    if len(d.v) >= len(d.u):
+        return False
+    vv = poly_mul(d.v, d.v, curve.p)
+    return poly_mod(poly_sub(vv, curve.f, curve.p), d.u, curve.p) == ()
+
+
 def count_points_k2_reference(curve: GenusTwoCurve) -> int:
     """#C(F_{p²}) by evaluating f at every x of F_p[t]/(t² − n): O(p²) steps
     of tuple arithmetic, n the smallest quadratic non-residue."""
@@ -470,6 +480,42 @@ class TestCantorAdd:
         d = IDENTITY
         with pytest.raises(InvalidCurveError):
             cantor_add(d, d, sextic)
+
+    def test_on_curve_matches_reference_on_every_divisor_at_three(self):
+        for curve in ALL_P3:
+            for d in enumerate_divisors(curve):
+                assert oracle._on_curve(d, curve) and on_curve_reference(d, curve)
+                # d with unreduced coefficients, and with v0 moved by one
+                u = tuple(c - 3 for c in d.u[:-1]) + (1,)
+                v0, *rest = d.v or (0,)
+                for v in (tuple(c + 3 for c in d.v), ((v0 + 1) % 3, *rest)):
+                    e = MumfordDivisor(u=u, v=v)
+                    assert oracle._on_curve(e, curve) == on_curve_reference(e, curve)
+
+    def test_on_curve_matches_reference_on_malformed_input(self):
+        coeffs = (-1, 0, 1, 2, 5)  # -1 and 5 are unreduced at p = 3 and 5
+        us = [c for n in range(4) for c in product(coeffs, repeat=n)] + \
+            [c + (1,) for c in product(coeffs, repeat=3)]
+        vs = [c for n in range(3) for c in product(coeffs, repeat=n)] + \
+            [(1, 0, 0), (0, 0, 1)]
+        reached = Counter()
+        for curve in ALL_P3[:2] + [random_squarefree_quintic(5, random.Random(3))]:
+            for u, v in product(us, vs):
+                d = MumfordDivisor(u=u, v=v)
+                ok = oracle._on_curve(d, curve)
+                assert ok == on_curve_reference(d, curve), (d, curve)
+                if not u or u[-1] != 1:
+                    reached["non-monic u"] += 1
+                elif len(u) > 3:
+                    reached["deg u > 2"] += 1
+                elif len(v) >= len(u):
+                    reached["deg v >= deg u"] += 1
+                elif not ok:
+                    reached["off curve"] += 1
+                elif any(not 0 <= c < curve.p for c in u + v):
+                    reached["unreduced, on curve"] += 1
+        assert set(reached) == {"non-monic u", "deg u > 2", "deg v >= deg u",
+                                "off curve", "unreduced, on curve"}
 
     def test_commutative_and_associative(self):
         rng = random.Random(17)
