@@ -19,7 +19,6 @@ from .frobenius import (
 from .oracle import (
     GenusTwoCurve,
     GroupStructure,
-    MumfordDivisor,
     cantor_add,
     char_poly_from_counts,
     count_points,
@@ -44,7 +43,6 @@ __all__ = [
     "GenusTwoCurve",
     "GroupStructure",
     "Lemma2Report",
-    "MumfordDivisor",
     "RealQuadElem",
     "SylowVerdict",
     "analyze",

@@ -8,12 +8,15 @@ through the F_p-points, and those with irreducible u from a square root
 of f mod u in F_p[x]/(u).  The two routes are independent of the CM
 machinery and of each other.
 
-The group law is Cantor's (Cantor 1987) written out on plain ints mod p
-for the degree-5 model (``_GroupLaw``; Lange 2005 gives such formulas for
-monic f): a reduced divisor is a tuple (u1, u0, v1, v0), (u0, v0) or (),
-and doubling and addition compose, then reduce once.  Every case has an
-explicit formula, so there is no generic fallback; the polynomial
-version of Cantor's algorithm lives in the tests as the reference.
+A reduced divisor is a ``Key``, a tuple of ints mod p: (u1, u0, v1, v0)
+for u = x² + u1x + u0, v = v1x + v0; (u0, v0) for u = x + u0, v = v0;
+and () for 0.  It is the one form of a divisor here: the enumeration
+emits Keys, and ``cantor_add`` takes and returns them.  The group law is
+Cantor's (Cantor 1987) written out on Keys for the degree-5 model
+(``_GroupLaw``; Lange 2005 gives such formulas for monic f): doubling
+and addition compose, then reduce once.  Every case has an explicit
+formula, so there is no generic fallback; the polynomial version of
+Cantor's algorithm lives in the tests as the reference.
 
 Polynomials over F_p are plain tuples of ints, low degree first, with
 no trailing zeros (the zero polynomial is the empty tuple).
@@ -25,7 +28,7 @@ import functools
 import itertools
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InternalInvariantError, InvalidCurveError
@@ -172,6 +175,9 @@ class GenusTwoCurve:
     f: Poly
 
     def __post_init__(self) -> None:
+        if not isinstance(self.p, int) or not all(
+                isinstance(c, int) for c in self.f):
+            raise InvalidCurveError("p and the coefficients of f must be ints")
         check_odd_prime(self.p)
         f = _trim([c % self.p for c in self.f])
         object.__setattr__(self, "f", f)
@@ -278,68 +284,12 @@ def char_poly_from_counts(N1: int, N2: int, p: int) -> FrobeniusPoly:
     return FrobeniusPoly(a0=p * p, a1=-p * s1, a2=s2, a3=-s1, p=p)
 
 
-# --------------------------------------------------------- Mumford/Cantor
-
-@dataclass(frozen=True)
-class MumfordDivisor:
-    """Reduced divisor (u, v) with u monic, deg u ≤ 2, v² ≡ f (mod u)."""
-
-    u: Poly
-    v: Poly
-
-    def is_identity(self) -> bool:
-        return self.u == (1,)
-
-
-IDENTITY = MumfordDivisor(u=(1,), v=())
-
-
-def _on_curve(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:
-    """u monic of degree ≤ 2, fewer coefficients in v than in u, and
-    v² ≡ f (mod u), with every coefficient read mod p."""
-    u, p = d.u, curve.p
-    if not u or u[-1] != 1 or len(u) > 3 or len(d.v) >= len(u):
-        return False
-    v0, v1 = (d.v + (0, 0))[:2]
-    if len(u) == 1:  # then v = ()
-        return True
-    if len(u) == 2:  # v0² = f(b) at the root b = −u0
-        return (v0 * v0 - poly_eval(curve.f, -u[0], p)) % p == 0
-    u0, u1 = u[0], u[1]
-    # f mod u by Horner on r = r1x + r0, as in enumerate_divisors, against
-    # v² ≡ (2v0 − u1v1)v1·x + v0² − u0v1² (mod u)
-    r1 = r0 = 0
-    for c in reversed(curve.f):
-        r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
-    return ((2 * v0 - u1 * v1) * v1 - r1) % p == 0 and \
-        (v0 * v0 - u0 * v1 * v1 - r0) % p == 0
-
-
-def _linear(v0: int, v1: int) -> Poly:
-    """v1x + v0 as a trimmed Poly."""
-    return (v0, v1) if v1 else (v0,) if v0 else ()
-
-
-# ------------------------------------------------------ explicit group law
+# ------------------------------------------------ divisors and group law
 
 #: A reduced divisor as a tuple of ints mod p, by weight: () is 0,
 #: (u0, v0) is u = x + u0 with v = v0, and (u1, u0, v1, v0) is
 #: u = x² + u1x + u0 with v = v1x + v0.
 Key = tuple[int, ...]
-
-
-def _key(d: MumfordDivisor, p: int) -> Key:
-    u, v = d.u, d.v + (0, 0)
-    if len(u) == 3:
-        return (u[1] % p, u[0] % p, v[1] % p, v[0] % p)
-    return (u[0] % p, v[0] % p) if len(u) == 2 else ()
-
-
-def _divisor(k: Key) -> MumfordDivisor:
-    if len(k) == 4:
-        u1, u0, v1, v0 = k
-        return MumfordDivisor(u=(u0, u1, 1), v=_linear(v0, v1))
-    return MumfordDivisor(u=(k[0], 1), v=_linear(k[1], 0)) if k else IDENTITY
 
 
 @functools.lru_cache(maxsize=16)
@@ -364,6 +314,11 @@ class _GroupLaw:
     __slots__ = ("p", "inv", "f", "df", "inv_f5")
 
     def __init__(self, curve: GenusTwoCurve) -> None:
+        if curve.degree != 5:
+            raise InvalidCurveError(
+                f"divisor arithmetic requires the degree-5 model, "
+                f"got deg f = {curve.degree}"
+            )
         self.p = curve.p
         self.inv = _inverses(curve.p)
         self.f = curve.f
@@ -517,29 +472,44 @@ class _GroupLaw:
                         (-t % p, (z1 * t + z0) % p))
 
 
-def cantor_add(d1: MumfordDivisor, d2: MumfordDivisor,
-               curve: GenusTwoCurve) -> MumfordDivisor:
+def _on_curve(d: Key, curve: GenusTwoCurve) -> bool:
+    """d is a tuple of 0, 2 or 4 ints and, read mod p, v² ≡ f (mod u)."""
+    if not isinstance(d, tuple) or len(d) not in (0, 2, 4) or not all(
+            isinstance(c, int) for c in d):
+        return False
+    p = curve.p
+    if len(d) == 2:  # v0² = f(b) at the root b = −u0
+        u0, v0 = d
+        return (v0 * v0 - poly_eval(curve.f, -u0, p)) % p == 0
+    if not d:
+        return True
+    u1, u0, v1, v0 = d
+    # f mod u by Horner on r = r1x + r0, as in enumerate_divisors, against
+    # v² ≡ (2v0 − u1v1)v1·x + v0² − u0v1² (mod u)
+    r1 = r0 = 0
+    for c in reversed(curve.f):
+        r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
+    return ((2 * v0 - u1 * v1) * v1 - r1) % p == 0 and \
+        (v0 * v0 - u0 * v1 * v1 - r0) % p == 0
+
+
+def cantor_add(d1: Key, d2: Key, curve: GenusTwoCurve) -> Key:
     """Group law on Jac(C)(F_p) for the odd-degree (deg f = 5) model.
 
-    Checks that both divisors lie on the curve, then adds them with the
-    explicit law that the torsion counts use.
+    Checks that both Keys lie on the curve, then adds them, read mod p,
+    with the explicit law that the torsion counts use.
     """
-    if curve.degree != 5:
-        raise InvalidCurveError(
-            "divisor arithmetic requires the degree-5 model"
-        )
+    law = _GroupLaw(curve)
     for d in (d1, d2):
         if not _on_curve(d, curve):
-            raise InvalidCurveError(f"divisor (u={d.u}, v={d.v}) not on curve")
-    return _divisor(_GroupLaw(curve).add(_key(d1, curve.p), _key(d2, curve.p)))
-
-
-def cantor_neg(d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
-    return MumfordDivisor(u=d.u, v=poly_mod(poly_neg(d.v, curve.p), d.u, curve.p))
+            raise InvalidCurveError(f"divisor {d!r} is not a Key on the curve")
+    p = curve.p
+    return law.add(tuple([c % p for c in d1]), tuple([c % p for c in d2]))
 
 
 def _v_solutions(u1: int, u0: int, r1: int, r0: int, p: int,
-                 roots: list[list[int]], inv: list[int]) -> list[tuple[int, int]]:
+                 roots: list[list[int]],
+                 inv: Sequence[int]) -> list[tuple[int, int]]:
     """All (v1, v0) with (v1x + v0)² ≡ r1x + r0 (mod u), u = x² + u1x + u0
     irreducible over F_p: u1² − 4u0 must be a non-residue.
 
@@ -564,39 +534,36 @@ def _v_solutions(u1: int, u0: int, r1: int, r0: int, p: int,
     return out
 
 
-def enumerate_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
-    """All reduced Mumford divisors on a degree-5 curve, in O(p²) steps.
+def enumerate_divisors(curve: GenusTwoCurve) -> list[Key]:
+    """All reduced divisors on a degree-5 curve as Keys, in O(p²) steps.
 
     A reduced divisor of degree ≤ 2 is 0, a point P, a sum P + Q of
     F_p-points with Q ≠ −P, or a conjugate pair over F_{p²} (Cantor
     1987).  The first three come from the affine points (a, y): u = x − a
     and v = y for P; the chord through P and Q for a ≠ b, with
-    u = (x − a)(x − b); the tangent at P for y ≠ 0, with u = (x − a)²,
-    v(a) = y and v′(a) = f′(a)/(2y).  A double root of u lies in F_p, so
-    the rest are the irreducible u = x² + u1x + u0: f is reduced mod u
-    and ``_v_solutions`` takes the square root in F_p[x]/(u).
+    u = (x − a)(x − b); the tangent at P for y ≠ 0 (``_GroupLaw.tangent``).
+    A double root of u lies in F_p, so the rest are the irreducible
+    u = x² + u1x + u0: f is reduced mod u and ``_v_solutions`` takes the
+    square root in F_p[x]/(u).
     """
-    p, f = curve.p, curve.f
+    law = _GroupLaw(curve)
+    p, f, inv = curve.p, curve.f, law.inv
     roots = _sqrt_table(p)
-    inv = [0] + [pow(z, -1, p) for z in range(1, p)]
     # the x-coordinates of affine points, each with its y, ascending
     fibres = [(a, ys) for a in range(p) if (ys := roots[poly_eval(f, a, p)])]
-    df = poly_derivative(f, p)
-    out = [IDENTITY]
+    out: list[Key] = [()]
     for i, (a, ys) in enumerate(fibres):
         for y in ys:
-            out.append(MumfordDivisor(u=((-a) % p, 1), v=_linear(y, 0)))
-            if y:  # tangent at (a, y)
-                v1 = poly_eval(df, a, p) * inv[2 * y % p] % p
-                out.append(MumfordDivisor(u=(a * a % p, -2 * a % p, 1),
-                                          v=_linear((y - v1 * a) % p, v1)))
+            out.append((-a % p, y))
+            if y:
+                out.append(law.tangent(a, y))
         for b, zs in fibres[i + 1:]:  # chords from (a, y) to (b, z), a < b
-            u = (a * b % p, (-a - b) % p, 1)
+            u1, u0 = (-a - b) % p, a * b % p
             inv_ab = inv[(a - b) % p]
             for y in ys:
                 for z in zs:
                     v1 = (y - z) * inv_ab % p
-                    out.append(MumfordDivisor(u=u, v=_linear((y - v1 * a) % p, v1)))
+                    out.append((u1, u0, v1, (y - v1 * a) % p))
     top = tuple(reversed(f))
     inv_4 = inv[4 % p]
     non_residues = [d for d in range(1, p) if not roots[d]]
@@ -608,9 +575,8 @@ def enumerate_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
             r1 = r0 = 0
             for c in top:
                 r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
-            u = (u0, u1, 1)
             for v1, v0 in _v_solutions(u1, u0, r1, r0, p, roots, inv):
-                out.append(MumfordDivisor(u=u, v=_linear(v0, v1)))
+                out.append((u1, u0, v1, v0))
     return out
 
 
@@ -714,10 +680,7 @@ def enumerate_jacobian(curve: GenusTwoCurve,
     them it is F_p-rational exactly when the set is Galois-stable.
     Requires the degree-5 model and (√p + 1)⁴ within the budget.
     """
-    if curve.degree != 5:
-        raise InvalidCurveError(
-            "full enumeration requires the degree-5 model"
-        )
+    law = _GroupLaw(curve)
     p = curve.p
     # (√p + 1)^4 <= B  <=>  4(p+1)√p <= B - (p² + 6p + 1), squared exactly
     slack = budget - (p * p + 6 * p + 1)
@@ -729,7 +692,6 @@ def enumerate_jacobian(curve: GenusTwoCurve,
     N = len(elements)
     n_factors = factorint(N)
     torsion: dict[int, list[int]] = {}
-    law = keys = None
     for q, e in n_factors.items():
         if e < 2:
             continue
@@ -739,9 +701,7 @@ def enumerate_jacobian(curve: GenusTwoCurve,
             if two == 2 ** e:
                 torsion[2] = [two]
                 continue
-        if law is None:
-            law, keys = _GroupLaw(curve), [_key(d, p) for d in elements]
-        torsion[q] = _torsion_counts(keys, q, e, law)
+        torsion[q] = _torsion_counts(elements, q, e, law)
         if q == 2 and torsion[2][0] != two:
             raise InternalInvariantError(
                 f"#G[2] = {torsion[2][0]} by doubling, but f has "
