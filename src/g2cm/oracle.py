@@ -51,67 +51,6 @@ def _trim(c: list[int]) -> Poly:
     return tuple(c)
 
 
-def poly_add(a: Poly, b: Poly, p: int) -> Poly:
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def poly_neg(a: Poly, p: int) -> Poly:
-    return tuple((-c) % p for c in a)
-
-
-def poly_sub(a: Poly, b: Poly, p: int) -> Poly:
-    return poly_add(a, poly_neg(b, p), p)
-
-
-def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def poly_divmod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] * inv_lead % p
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bi in enumerate(b):
-            r[k + i] = (r[k + i] - c * bi) % p
-    return _trim(q), _trim(r)
-
-
-def poly_mod(a: Poly, b: Poly, p: int) -> Poly:
-    return poly_divmod(a, b, p)[1]
-
-
-def poly_monic(a: Poly, p: int) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return tuple(c * inv % p for c in a)
-
-
-def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
-    while b:
-        a, b = b, poly_mod(a, b, p)
-    return poly_monic(a, p)
-
-
 def poly_eval(a: Poly, x: int, p: int) -> int:
     acc = 0
     for c in reversed(a):
@@ -123,40 +62,31 @@ def poly_derivative(a: Poly, p: int) -> Poly:
     return _trim([i * a[i] % p for i in range(1, len(a))])
 
 
+def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
+    """The monic gcd of a and b: Euclid on int lists that keeps only the
+    remainders, with one inverse per divisor and nothing of size O(p)."""
+    r, s = list(a), list(b)
+    while s:
+        n = len(s) - 1
+        inv = pow(s[n], -1, p)
+        while len(r) > n:  # cancel the top of r with a multiple of s
+            c = r.pop() * inv % p
+            if c:
+                k = len(r) - n
+                for i in range(n):
+                    r[k + i] = (r[k + i] - c * s[i]) % p
+        while r and not r[-1]:
+            r.pop()
+        r, s = s, r
+    if not r:
+        return ()
+    inv = pow(r[-1], -1, p)
+    return tuple(c * inv % p for c in r)
+
+
 def poly_is_squarefree(a: Poly, p: int) -> bool:
     """True iff a has no repeated root over the algebraic closure of F_p."""
     return len(poly_gcd(a, poly_derivative(a, p), p)) == 1
-
-
-def _poly_powmod(a: Poly, n: int, m: Poly, p: int) -> Poly:
-    """a^n mod m, n ≥ 0."""
-    out: Poly = (1,)
-    while n:
-        if n & 1:
-            out = poly_mod(poly_mul(out, a, p), m, p)
-        n >>= 1
-        if n:
-            a = poly_mod(poly_mul(a, a, p), m, p)
-    return out
-
-
-def _irreducible_factor_count(f: Poly, p: int) -> int:
-    """The number of irreducible factors over F_p of a squarefree f with
-    deg f ≤ 5, by distinct-degree gcds.
-
-    gcd(g, x^(p^k) − x) is the product of the factors of degree k of g
-    once those of lower degree are divided out.  After k = 1, 2 what is
-    left has no factor of degree ≤ 2 and degree ≤ 5, so it is 1 or
-    irreducible.
-    """
-    g, x, h, count = poly_monic(f, p), (0, 1), (0, 1), 0
-    for k in (1, 2):
-        h = _poly_powmod(h, p, g, p)  # x^(p^k) mod g
-        d = poly_gcd(g, poly_sub(h, x, p), p)
-        count += (len(d) - 1) // k
-        g = poly_divmod(g, d, p)[0]
-        h = poly_mod(h, g, p)
-    return count + (len(g) > 1)
 
 
 # ------------------------------------------------------------------ curve
@@ -213,21 +143,37 @@ def all_squarefree_quintics(p: int) -> Iterator[Poly]:
                 yield f
 
 
-def _sqrt_table(p: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=16)
+def _sqrt_table(p: int) -> tuple[tuple[int, ...], ...]:
     """roots[z] = the y in F_p with y² = z, ascending."""
     roots: list[list[int]] = [[] for _ in range(p)]
     for y in range(p):
         roots[y * y % p].append(y)
-    return roots
+    return tuple(map(tuple, roots))
 
 
-def _shifted(f: Poly, h: int, p: int) -> list[int]:
-    """Coefficients of f(s − h), low degree first (Taylor shift by Horner)."""
-    g = list(f)
+@functools.lru_cache(maxsize=16)
+def _square_counts(p: int) -> tuple[int, ...]:
+    """s[z] = #{y ∈ F_p : y² = z} = 1 + χ(z)."""
+    return tuple(map(len, _sqrt_table(p)))
+
+
+@functools.lru_cache(maxsize=16)
+def _non_residues(p: int) -> tuple[tuple[int, int, int], ...]:
+    """(d, d², d³) mod p for the non-residues d of F_p, ascending."""
+    roots = _sqrt_table(p)
+    return tuple((d, d * d % p, d * d * d % p)
+                 for d in range(1, p) if not roots[d])
+
+
+def _shifted(g: list[int], p: int) -> list[int]:
+    """Coefficients of g(s − 1) mod p, low degree first: a Taylor shift
+    by Horner with subtractions only, reduced once at the end."""
+    g = g[:]
     for i in range(len(g) - 1):
         for j in range(len(g) - 2, i - 1, -1):
-            g[j] = (g[j] - h * g[j + 1]) % p
-    return g
+            g[j] -= g[j + 1]
+    return [c % p for c in g]
 
 
 def count_points(curve: GenusTwoCurve, k: int) -> int:
@@ -240,9 +186,10 @@ def count_points(curve: GenusTwoCurve, k: int) -> int:
     pairs −h ± √δ, h ∈ F_p and δ a non-residue: the roots of the
     irreducible m = (t + h)² − δ.  Writing f(s − h) = E(s²) + s·O(s²),
     the pair's norm f(x)·f(x̄) = Res(m, f) is E(δ)² − δ·O(δ)², and the
-    pair gives 2·s[Res] points.  At infinity: one point for deg f = 5;
-    for deg f = 6 the square roots of the leading coefficient, two over
-    F_{p²}.  Primes above MAX_COUNT_PRIME raise BudgetExceededError.
+    pair gives 2·s[Res] points; f(s − h − 1) is f(s − h) shifted by 1.
+    At infinity: one point for deg f = 5; for deg f = 6 the square roots
+    of the leading coefficient, two over F_{p²}.  Primes above
+    MAX_COUNT_PRIME raise BudgetExceededError.
     """
     p, f = curve.p, curve.f
     if k not in (1, 2):
@@ -251,15 +198,17 @@ def count_points(curve: GenusTwoCurve, k: int) -> int:
         raise BudgetExceededError(
             f"p = {p} exceeds the point-counting limit {MAX_COUNT_PRIME}"
         )
-    s = [len(r) for r in _sqrt_table(p)]
+    s = _square_counts(p)
     if k == 1:
         total = sum(s[poly_eval(f, x, p)] for x in range(p))
         return total + (1 if curve.degree == 5 else s[f[-1]])
-    powers = [(d, d * d % p, d * d * d % p) for d in range(1, p) if not s[d]]
+    powers = _non_residues(p)
     total = 1 if curve.degree == 5 else 2
-    pad = (0,) * (6 - curve.degree)
+    g = list(f) + [0] * (6 - curve.degree)  # f(s − h), from h = 0
     for h in range(p):
-        g0, g1, g2, g3, g4, g5, g6 = _shifted(f + pad, h, p)
+        if h:
+            g = _shifted(g, p)
+        g0, g1, g2, g3, g4, g5, g6 = g
         total += (2 if g0 else 1) + 2 * sum([
             s[((g0 + g2 * d + g4 * d2 + g6 * d3) ** 2
                - d * (g1 + g3 * d + g5 * d2) ** 2) % p]
@@ -472,6 +421,12 @@ class _GroupLaw:
                         (-t % p, (z1 * t + z0) % p))
 
 
+@functools.lru_cache(maxsize=16)
+def _group_law(curve: GenusTwoCurve) -> _GroupLaw:
+    """The curve's group law, built once per curve."""
+    return _GroupLaw(curve)
+
+
 def _on_curve(d: Key, curve: GenusTwoCurve) -> bool:
     """d is a tuple of 0, 2 or 4 ints and, read mod p, v² ≡ f (mod u)."""
     if not isinstance(d, tuple) or len(d) not in (0, 2, 4) or not all(
@@ -499,7 +454,7 @@ def cantor_add(d1: Key, d2: Key, curve: GenusTwoCurve) -> Key:
     Checks that both Keys lie on the curve, then adds them, read mod p,
     with the explicit law that the torsion counts use.
     """
-    law = _GroupLaw(curve)
+    law = _group_law(curve)
     for d in (d1, d2):
         if not _on_curve(d, curve):
             raise InvalidCurveError(f"divisor {d!r} is not a Key on the curve")
@@ -508,7 +463,7 @@ def cantor_add(d1: Key, d2: Key, curve: GenusTwoCurve) -> Key:
 
 
 def _v_solutions(u1: int, u0: int, r1: int, r0: int, p: int,
-                 roots: list[list[int]],
+                 roots: Sequence[Sequence[int]],
                  inv: Sequence[int]) -> list[tuple[int, int]]:
     """All (v1, v0) with (v1x + v0)² ≡ r1x + r0 (mod u), u = x² + u1x + u0
     irreducible over F_p: u1² − 4u0 must be a non-residue.
@@ -546,7 +501,7 @@ def enumerate_divisors(curve: GenusTwoCurve) -> list[Key]:
     u = x² + u1x + u0: f is reduced mod u and ``_v_solutions`` takes the
     square root in F_p[x]/(u).
     """
-    law = _GroupLaw(curve)
+    law = _group_law(curve)
     p, f, inv = curve.p, curve.f, law.inv
     roots = _sqrt_table(p)
     # the x-coordinates of affine points, each with its y, ascending
@@ -566,9 +521,9 @@ def enumerate_divisors(curve: GenusTwoCurve) -> list[Key]:
                     out.append((u1, u0, v1, (y - v1 * a) % p))
     top = tuple(reversed(f))
     inv_4 = inv[4 % p]
-    non_residues = [d for d in range(1, p) if not roots[d]]
+    non_residues = _non_residues(p)
     for u1 in range(p):
-        for d in non_residues:  # u1² − 4u0 = d
+        for d, _, _ in non_residues:  # u1² − 4u0 = d
             u0 = (u1 * u1 - d) * inv_4 % p
             # f mod u by Horner on r = r1x + r0:
             #   r·x + c ≡ (r0 − r1u1)x + (c − r1u0)
@@ -642,10 +597,14 @@ def _invariant_factors_from_torsion(
     order ≥ q^k, which gives the q-parts of the factors; the i-th largest
     invariant factor is the product over q of the i-th largest q-part.
     """
-    q_parts = []
+    # the primes with e = 1 all go into the largest factor
+    squarefree = math.prod(q for q, e in n_factors.items() if e == 1)
+    q_parts = [[squarefree]] if squarefree > 1 else []
     for q, e in n_factors.items():
+        if e == 1:
+            continue
         logs = [0]  # log_q #G[q^k] for k = 0, 1, …; −1 if not a power of q
-        for n in (torsion[q] if e > 1 else [q]):
+        for n in torsion[q]:
             k = 0
             while n > 1 and n % q == 0:
                 n, k = n // q, k + 1
@@ -654,7 +613,7 @@ def _invariant_factors_from_torsion(
         if (logs[-1] != e or not ranks or min(ranks) < 1
                 or ranks != sorted(ranks, reverse=True)):
             raise InternalInvariantError(
-                f"#G[{q}^k] = {torsion.get(q, [q])} are not the torsion counts "
+                f"#G[{q}^k] = {torsion[q]} are not the torsion counts "
                 f"of an abelian group with {q}-part {q ** e}"
             )
         # the i-th largest cyclic q-factor has order q^#{k : ranks[k] > i}
@@ -673,14 +632,12 @@ def enumerate_jacobian(curve: GenusTwoCurve,
 
     The order is the number of enumerated divisors; the structure comes
     from q^k-torsion counts for the primes q with q² | N, so a squarefree
-    order costs no group operation.  #G[2] = 2^(m−1), with m the number
-    of irreducible factors of f over F_p, checks the doubling map, and
-    replaces it when the 2-part is elementary: a 2-torsion point is an
-    even set of Weierstrass points up to complement, and as ∞ is one of
-    them it is F_p-rational exactly when the set is Galois-stable.
+    order costs no group operation.  #G[2] is the number of enumerated
+    Keys with v = 0, as −(u, v) = (u, −v mod u) and p is odd; it checks
+    the doubling map, and replaces it when the 2-part is elementary.
     Requires the degree-5 model and (√p + 1)⁴ within the budget.
     """
-    law = _GroupLaw(curve)
+    law = _group_law(curve)
     p = curve.p
     # (√p + 1)^4 <= B  <=>  4(p+1)√p <= B - (p² + 6p + 1), squared exactly
     slack = budget - (p * p + 6 * p + 1)
@@ -695,17 +652,16 @@ def enumerate_jacobian(curve: GenusTwoCurve,
     for q, e in n_factors.items():
         if e < 2:
             continue
-        if q == 2:
-            # #G[2] = 2^(m−1), m the number of irreducible factors of f
-            two = 2 ** (_irreducible_factor_count(curve.f, p) - 1)
+        if q == 2:  # D = −D exactly when v = 0
+            two = sum(not any(d[len(d) // 2:]) for d in elements)
             if two == 2 ** e:
                 torsion[2] = [two]
                 continue
         torsion[q] = _torsion_counts(elements, q, e, law)
         if q == 2 and torsion[2][0] != two:
             raise InternalInvariantError(
-                f"#G[2] = {torsion[2][0]} by doubling, but f has "
-                f"{two.bit_length()} irreducible factors over F_{p}"
+                f"#G[2] = {torsion[2][0]} by doubling, but {two} "
+                f"enumerated divisors have v = 0"
             )
     inv = _invariant_factors_from_torsion(n_factors, torsion)
     return GroupStructure(

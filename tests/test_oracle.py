@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -34,23 +35,113 @@ from g2cm.oracle import (
     Key,
     _GroupLaw,
     _invariant_factors_from_torsion,
-    _irreducible_factor_count,
     _torsion_counts,
     _trim,
     _v_solutions,
     all_squarefree_quintics,
     enumerate_divisors,
-    poly_add,
-    poly_divmod,
+    poly_derivative,
     poly_eval,
+    poly_gcd,
     poly_is_squarefree,
-    poly_mod,
-    poly_monic,
-    poly_mul,
-    poly_neg,
-    poly_sub,
     random_squarefree_quintics,
 )
+
+
+# ------------------------------------------- F_p[x] references on tuples
+
+def poly_add(a, b, p):
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
+                  for i in range(n)])
+
+
+def poly_neg(a, p):
+    return tuple((-c) % p for c in a)
+
+
+def poly_sub(a, b, p):
+    return poly_add(a, poly_neg(b, p), p)
+
+
+def poly_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def poly_divmod(a, b, p):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(r) >= len(b) and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b):
+            break
+        c = r[-1] * inv_lead % p
+        k = len(r) - len(b)
+        q[k] = c
+        for i, bi in enumerate(b):
+            r[k + i] = (r[k + i] - c * bi) % p
+    return _trim(q), _trim(r)
+
+
+def poly_mod(a, b, p):
+    return poly_divmod(a, b, p)[1]
+
+
+def poly_monic(a, p):
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return tuple(c * inv % p for c in a)
+
+
+def poly_gcd_reference(a, b, p):
+    """The monic gcd by Euclid on poly_divmod: the reference for poly_gcd."""
+    while b:
+        a, b = b, poly_mod(a, b, p)
+    return poly_monic(a, p)
+
+
+def poly_powmod(a, n, m, p):
+    """a^n mod m, n ≥ 0."""
+    out = (1,)
+    while n:
+        if n & 1:
+            out = poly_mod(poly_mul(out, a, p), m, p)
+        n >>= 1
+        if n:
+            a = poly_mod(poly_mul(a, a, p), m, p)
+    return out
+
+
+def irreducible_factor_count(f, p):
+    """The number of irreducible factors over F_p of a squarefree f with
+    deg f ≤ 5, by distinct-degree gcds.
+
+    gcd(g, x^(p^k) − x) is the product of the factors of degree k of g
+    once those of lower degree are divided out.  After k = 1, 2 what is
+    left has no factor of degree ≤ 2 and degree ≤ 5, so it is 1 or
+    irreducible.
+    """
+    g, x, h, count = poly_monic(f, p), (0, 1), (0, 1), 0
+    for k in (1, 2):
+        h = poly_powmod(h, p, g, p)  # x^(p^k) mod g
+        d = poly_gcd_reference(g, poly_sub(h, x, p), p)
+        count += (len(d) - 1) // k
+        g = poly_divmod(g, d, p)[0]
+        h = poly_mod(h, g, p)
+    return count + (len(g) > 1)
+
 
 C3 = GenusTwoCurve(p=3, f=(1, 0, 0, 0, 0, 1))     # y² = x⁵ + 1 over F₃
 
@@ -300,6 +391,43 @@ class TestCurveValidation:
         with pytest.raises(InvalidCurveError, match="must be ints"):
             GenusTwoCurve(p=p, f=f)
 
+    def test_large_prime_builds_nothing_of_size_p(self):
+        p = 2 ** 61 - 1
+        start = time.perf_counter()
+        c = GenusTwoCurve(p=p, f=(1, 2, 3, 4, 5, 6))
+        assert time.perf_counter() - start < 0.1
+        assert c.f == (1, 2, 3, 4, 5, 6)
+        with pytest.raises(InvalidCurveError, match="repeated root"):
+            GenusTwoCurve(p=p, f=(1, 0, -3, 3, -2, 1))  # (x − 1)²·(x³ + 2x + 1)
+
+
+class TestPolyGcd:
+    """The remainder-only Euclid against ``poly_gcd_reference``."""
+
+    def test_every_small_pair_at_three(self):
+        every = sorted({_trim(list(c)) for c in product(range(3), repeat=4)})
+        assert len(every) == 81
+        for a, b in product(every, repeat=2):
+            assert poly_gcd(a, b, 3) == poly_gcd_reference(a, b, 3), (a, b)
+
+    def test_every_sextic_and_its_derivative_at_three(self):
+        for c in product(range(3), repeat=7):
+            a = _trim(list(c))
+            da = poly_derivative(a, 3)
+            assert poly_gcd(a, da, 3) == poly_gcd_reference(a, da, 3), a
+            assert poly_gcd(da, a, 3) == poly_gcd_reference(da, a, 3), a
+
+    def test_seeded_pairs(self):
+        rng = random.Random(71)
+        for p in (5, 7, 11, 13, 47, 101, 997):
+            for _ in range(200):
+                a, b = (_trim([rng.randrange(p) for _ in range(rng.randrange(8))])
+                        for _ in range(2))
+                if rng.randrange(2):  # a common factor
+                    g = (rng.randrange(p), rng.randrange(1, p))
+                    a, b = poly_mul(a, g, p), poly_mul(b, g, p)
+                assert poly_gcd(a, b, p) == poly_gcd_reference(a, b, p), (a, b, p)
+
 
 class TestSquarefreeQuintics:
     def test_all_at_three(self):
@@ -377,6 +505,30 @@ class TestCountPoints:
         for k in (1, 2):
             with pytest.raises(BudgetExceededError, match="point-counting limit"):
                 count_points(c, k)
+
+    def test_field_tables_are_cached_tuples(self):
+        for p in (3, 7, 997):
+            roots, s, nr = (oracle._sqrt_table(p), oracle._square_counts(p),
+                            oracle._non_residues(p))
+            assert roots is oracle._sqrt_table(p) and s is oracle._square_counts(p)
+            assert nr is oracle._non_residues(p)
+            assert all(type(t) is tuple for t in (roots, s, nr, *roots, *nr))
+            assert roots == tuple(tuple(y for y in range(p) if y * y % p == z)
+                                  for z in range(p))
+            assert s == tuple(map(len, roots))
+            assert nr == tuple((d, d * d % p, d ** 3 % p) for d in range(1, p)
+                               if pow(d, (p - 1) // 2, p) == p - 1)
+
+    def test_shift_by_one(self):
+        rng = random.Random(79)
+        for p in (3, 5, 7, 11):
+            for n in range(1, 8):
+                g = [rng.randrange(-2 * p, 2 * p) for _ in range(n)]
+                shifted = oracle._shifted(g, p)
+                assert len(shifted) == n and all(0 <= c < p for c in shifted)
+                for x in range(p):
+                    want = sum(c * (x - 1) ** i for i, c in enumerate(g)) % p
+                    assert poly_eval(tuple(shifted), x, p) == want
 
     def test_weil_bounds_on_counts(self):
         rng = random.Random(11)
@@ -506,6 +658,30 @@ class TestCantorAdd:
                 cantor_add(bad, point, c)
             with pytest.raises(InvalidCurveError, match="not a Key"):
                 cantor_add(point, bad, c)
+
+    def test_fifty_calls_build_the_law_once(self, monkeypatch):
+        built = []
+        init = _GroupLaw.__init__
+
+        def counting(self, curve):
+            built.append(curve)
+            init(self, curve)
+
+        c = GenusTwoCurve(p=7, f=(1, 2, 0, 0, 0, 1))  # y² = x⁵ + 2x + 1
+        elems = divisors_reference(c)
+        monkeypatch.setattr(_GroupLaw, "__init__", counting)
+        oracle._group_law.cache_clear()
+        rng = random.Random(73)
+        sums = [cantor_add(rng.choice(elems), rng.choice(elems), c)
+                for _ in range(50)]
+        assert built == [c]
+        info = oracle._group_law.cache_info()
+        assert (info.misses, info.hits) == (1, 49)
+        # an equal curve, the enumeration and the structure share that law
+        same = GenusTwoCurve(p=7, f=c.f)
+        assert set(sums) <= set(enumerate_divisors(same))
+        assert enumerate_jacobian(same).order == len(elems)
+        assert built == [c]
 
     def test_on_curve_matches_reference_on_every_divisor_at_three(self):
         for curve in ALL_P3:
@@ -936,6 +1112,16 @@ class TestStructureFromTorsion:
         with pytest.raises(InternalInvariantError):
             _invariant_factors_from_torsion(n_factors, torsion)
 
+    @pytest.mark.parametrize("n_factors, torsion, factors", [
+        ({}, {}, ()),
+        ({7: 1}, {}, (7,)),
+        ({2: 2, 3: 1, 5: 1}, {2: [4]}, (2, 30)),
+        ({2: 1, 3: 2, 5: 1}, {3: [3, 9]}, (90,)),
+    ])
+    def test_squarefree_part_goes_into_the_largest_factor(self, n_factors,
+                                                          torsion, factors):
+        assert _invariant_factors_from_torsion(n_factors, torsion) == factors
+
     def test_image_outside_the_enumerated_set(self):
         c = GROUP_LAW[0][0]
         keys = enumerate_divisors(c)
@@ -952,8 +1138,14 @@ class TestStructureFromTorsion:
             compose_reduce(d, d, C3)
 
 
+def two_torsion_keys(elems: list[Key]) -> int:
+    """The number of Keys with v = 0, () included."""
+    return sum(1 for d in elems if not any(d[len(d) // 2:]))
+
+
 class TestTwoTorsion:
-    """#G[2] = 2^(m−1), m the number of irreducible factors of f over F_p."""
+    """#G[2], the number of Keys with v = 0, is 2^(m−1) with m the number
+    of irreducible factors of f over F_p."""
 
     @staticmethod
     def sympy_factor_count(curve):
@@ -961,14 +1153,14 @@ class TestTwoTorsion:
         return len(sympy.Poly(curve.f[::-1], x, modulus=curve.p).factor_list()[1])
 
     def test_factor_count_matches_sympy(self):
-        for c in ALL_P3:
-            assert _irreducible_factor_count(c.f, 3) == self.sympy_factor_count(c)
         rng = random.Random(67)
-        for p in (5, 7, 11, 23, 47):
-            for _ in range(20):
-                c = random_squarefree_quintic(p, rng)
-                assert (_irreducible_factor_count(c.f, p)
-                        == self.sympy_factor_count(c))
+        primes = list(sympy.primerange(5, 48))
+        curves = ALL_P3 + [random_squarefree_quintic(primes[i % len(primes)], rng)
+                           for i in range(100)]
+        for c in curves:
+            m = irreducible_factor_count(c.f, c.p)
+            assert m == self.sympy_factor_count(c), c
+            assert two_torsion_keys(enumerate_divisors(c)) == 2 ** (m - 1), c
 
     def test_doubling_counts_the_same_two_torsion(self):
         skipped = 0
@@ -977,28 +1169,25 @@ class TestTwoTorsion:
             e = sympy.multiplicity(2, len(elems))
             if e < 2:
                 continue
-            two = 2 ** (_irreducible_factor_count(c.f, 3) - 1)
-            law = _GroupLaw(c)
-            counts = _torsion_counts(elems, 2, e, law)
-            assert counts[0] == two
+            two = two_torsion_keys(elems)
+            counts = _torsion_counts(elems, 2, e, _GroupLaw(c))
+            assert counts[0] == two == 2 ** (irreducible_factor_count(c.f, 3) - 1)
             skipped += two == 2 ** e
         assert skipped  # where the 2-part is elementary, doubling is skipped
 
     def test_wrong_factor_count_raises(self, monkeypatch):
-        def count_plus_one(f, p):
-            return _irreducible_factor_count(f, p) + 1
-
-        monkeypatch.setattr(oracle, "_irreducible_factor_count", count_plus_one)
-        raised = 0
+        doubling = []  # the curves whose 2-part has order ≥ 4 and is not elementary
         for c in ALL_P3:
-            N = len(enumerate_divisors(c))
-            e = sympy.multiplicity(2, N)
-            if e < 2 or 2 ** _irreducible_factor_count(c.f, 3) == 2 ** e:
-                continue  # doubling does not run under the wrong count
-            with pytest.raises(InternalInvariantError, match="irreducible"):
+            elems = enumerate_divisors(c)
+            two_part = 2 ** sympy.multiplicity(2, len(elems))
+            if two_part >= 4 and two_part != two_torsion_keys(elems):
+                doubling.append(c)
+        assert doubling
+        # every divisor doubles to 0, so the doubling map's #G[2] is N
+        monkeypatch.setattr(_GroupLaw, "dbl", lambda self, d: ())
+        for c in doubling:
+            with pytest.raises(InternalInvariantError, match="by doubling"):
                 enumerate_jacobian(c)
-            raised += 1
-        assert raised
 
 
 def test_every_exported_name_resolves():
