@@ -166,14 +166,18 @@ def _non_residues(p: int) -> tuple[tuple[int, int, int], ...]:
                  for d in range(1, p) if not roots[d])
 
 
-def _shifted(g: list[int], p: int) -> list[int]:
-    """Coefficients of g(s − 1) mod p, low degree first: a Taylor shift
-    by Horner with subtractions only, reduced once at the end."""
-    g = g[:]
-    for i in range(len(g) - 1):
-        for j in range(len(g) - 2, i - 1, -1):
-            g[j] -= g[j + 1]
-    return [c % p for c in g]
+def _shifted(g0: int, g1: int, g2: int, g3: int, g4: int, g5: int, g6: int,
+             p: int) -> tuple[int, ...]:
+    """Coefficients of g(s − 1) mod p for g = g0 + g1·s + … + g6·s⁶: the
+    21 subtractions of a Taylor shift by 1 (Horner's rule, row by row),
+    then one reduction per coefficient."""
+    g5 -= g6; g4 -= g5; g3 -= g4; g2 -= g3; g1 -= g2; g0 -= g1
+    g5 -= g6; g4 -= g5; g3 -= g4; g2 -= g3; g1 -= g2
+    g5 -= g6; g4 -= g5; g3 -= g4; g2 -= g3
+    g5 -= g6; g4 -= g5; g3 -= g4
+    g5 -= g6; g4 -= g5
+    g5 -= g6
+    return g0 % p, g1 % p, g2 % p, g3 % p, g4 % p, g5 % p, g6 % p
 
 
 def count_points(curve: GenusTwoCurve, k: int) -> int:
@@ -186,7 +190,8 @@ def count_points(curve: GenusTwoCurve, k: int) -> int:
     pairs −h ± √δ, h ∈ F_p and δ a non-residue: the roots of the
     irreducible m = (t + h)² − δ.  Writing f(s − h) = E(s²) + s·O(s²),
     the pair's norm f(x)·f(x̄) = Res(m, f) is E(δ)² − δ·O(δ)², and the
-    pair gives 2·s[Res] points; f(s − h − 1) is f(s − h) shifted by 1.
+    pair gives 2·s[Res] points.  f(s − h) is held in seven locals, and
+    ``_shifted`` steps it to f(s − h − 1): 21 subtractions, then mod p.
     At infinity: one point for deg f = 5; for deg f = 6 the square roots
     of the leading coefficient, two over F_{p²}.  Primes above
     MAX_COUNT_PRIME raise BudgetExceededError.
@@ -199,21 +204,21 @@ def count_points(curve: GenusTwoCurve, k: int) -> int:
             f"p = {p} exceeds the point-counting limit {MAX_COUNT_PRIME}"
         )
     s = _square_counts(p)
-    if k == 1:
-        total = sum(s[poly_eval(f, x, p)] for x in range(p))
+    # f padded to degree 6; for k = 2 these are f(s − h), from h = 0
+    g0, g1, g2, g3, g4, g5, g6 = f + (0,) * (6 - curve.degree)
+    if k == 1:  # Horner on the locals, reduced once per x
+        total = sum([s[((((((g6 * x + g5) * x + g4) * x + g3) * x + g2) * x
+                           + g1) * x + g0) % p] for x in range(p)])
         return total + (1 if curve.degree == 5 else s[f[-1]])
     powers = _non_residues(p)
     total = 1 if curve.degree == 5 else 2
-    g = list(f) + [0] * (6 - curve.degree)  # f(s − h), from h = 0
-    for h in range(p):
-        if h:
-            g = _shifted(g, p)
-        g0, g1, g2, g3, g4, g5, g6 = g
+    for _ in range(p):
         total += (2 if g0 else 1) + 2 * sum([
             s[((g0 + g2 * d + g4 * d2 + g6 * d3) ** 2
                - d * (g1 + g3 * d + g5 * d2) ** 2) % p]
             for d, d2, d3 in powers
         ])
+        g0, g1, g2, g3, g4, g5, g6 = _shifted(g0, g1, g2, g3, g4, g5, g6, p)
     return total
 
 
@@ -247,6 +252,13 @@ def _inverses(p: int) -> tuple[int, ...]:
     return (0,) + tuple(pow(z, -1, p) for z in range(1, p))
 
 
+def _require_degree_five(curve: GenusTwoCurve) -> None:
+    """The one check that divisor arithmetic has the degree-5 model."""
+    if curve.degree != 5:
+        raise InvalidCurveError("divisor arithmetic requires the degree-5 "
+                                f"model, got deg f = {curve.degree}")
+
+
 class _GroupLaw:
     """Explicit doubling and addition of Keys on y² = f, deg f = 5.
 
@@ -263,11 +275,7 @@ class _GroupLaw:
     __slots__ = ("p", "inv", "f", "df", "inv_f5")
 
     def __init__(self, curve: GenusTwoCurve) -> None:
-        if curve.degree != 5:
-            raise InvalidCurveError(
-                f"divisor arithmetic requires the degree-5 model, "
-                f"got deg f = {curve.degree}"
-            )
+        _require_degree_five(curve)
         self.p = curve.p
         self.inv = _inverses(curve.p)
         self.f = curve.f
@@ -635,9 +643,10 @@ def enumerate_jacobian(curve: GenusTwoCurve,
     order costs no group operation.  #G[2] is the number of enumerated
     Keys with v = 0, as −(u, v) = (u, −v mod u) and p is odd; it checks
     the doubling map, and replaces it when the 2-part is elementary.
-    Requires the degree-5 model and (√p + 1)⁴ within the budget.
+    Requires the degree-5 model and (√p + 1)⁴ within the budget, checked
+    before the group law builds its tables of size p.
     """
-    law = _group_law(curve)
+    _require_degree_five(curve)
     p = curve.p
     # (√p + 1)^4 <= B  <=>  4(p+1)√p <= B - (p² + 6p + 1), squared exactly
     slack = budget - (p * p + 6 * p + 1)
@@ -657,7 +666,7 @@ def enumerate_jacobian(curve: GenusTwoCurve,
             if two == 2 ** e:
                 torsion[2] = [two]
                 continue
-        torsion[q] = _torsion_counts(elements, q, e, law)
+        torsion[q] = _torsion_counts(elements, q, e, _group_law(curve))
         if q == 2 and torsion[2][0] != two:
             raise InternalInvariantError(
                 f"#G[2] = {torsion[2][0]} by doubling, but {two} "

@@ -520,15 +520,25 @@ class TestCountPoints:
                                if pow(d, (p - 1) // 2, p) == p - 1)
 
     def test_shift_by_one(self):
+        # every degree ≤ 6 as a padded 7-vector, from negative, unreduced
+        # coefficients; g(s − 1) has coefficients Σ_j (−1)^(j−i)·C(j, i)·g_j
         rng = random.Random(79)
-        for p in (3, 5, 7, 11):
-            for n in range(1, 8):
-                g = [rng.randrange(-2 * p, 2 * p) for _ in range(n)]
-                shifted = oracle._shifted(g, p)
-                assert len(shifted) == n and all(0 <= c < p for c in shifted)
-                for x in range(p):
-                    want = sum(c * (x - 1) ** i for i, c in enumerate(g)) % p
-                    assert poly_eval(tuple(shifted), x, p) == want
+        for p in (3, 5, 7, 11, 997):
+            for n in range(8):  # n coefficients, so degree n − 1
+                for _ in range(3):
+                    g = [rng.randrange(-2 * p, 2 * p) for _ in range(n)]
+                    if n:  # a top coefficient that is not 0 mod p
+                        g[-1] = rng.randrange(1, p) - rng.choice((0, p, 2 * p))
+                    g += [0] * (7 - n)
+                    shifted = oracle._shifted(*g, p)
+                    assert type(shifted) is tuple
+                    assert shifted == tuple(
+                        sum((-1) ** (j - i) * math.comb(j, i) * g[j]
+                            for j in range(i, 7)) % p for i in range(7))
+                    assert len(_trim(list(shifted))) == n  # degree kept
+                    for x in range(min(p, 13)):
+                        want = sum(c * (x - 1) ** i for i, c in enumerate(g)) % p
+                        assert poly_eval(shifted, x, p) == want
 
     def test_weil_bounds_on_counts(self):
         rng = random.Random(11)
@@ -580,6 +590,29 @@ class TestCountPointsK2:
                 f = random_squarefree(p, degree - 1, rng, factor=((-a) % p, 1))
                 assert poly_eval(f, a, p) == 0
                 self.check(GenusTwoCurve(p=p, f=f))
+
+    @pytest.mark.parametrize("p", [53, 67, 79])
+    def test_benchmark_primes(self, p):
+        # the primes that the point-count benchmark runs
+        rng = random.Random(59 + p)
+        for degree in (5, 5, 6, 6):
+            self.check(GenusTwoCurve(p=p, f=random_squarefree(p, degree, rng)))
+
+    @pytest.mark.parametrize("p", [53, 79, 997])
+    def test_k1_by_euler_criterion(self, p):
+        # count_points's Horner reduces once per x: at p = 997 its unreduced
+        # value exceeds 2⁶³ on the sextics here
+        rng = random.Random(61 + p)
+        for degree in (5, 5, 6, 6):
+            f = random_squarefree(p, degree, rng)
+            values = [sum(c * x ** i for i, c in enumerate(f)) for x in range(p)]
+            if p == 997 and degree == 6:
+                assert max(values) > 2 ** 63
+            # Euler's criterion: z^((p−1)/2) is 0, 1 or p − 1 mod p
+            points = {0: 1, 1: 2, p - 1: 0}
+            affine = sum(points[pow(z, (p - 1) // 2, p)] for z in values)
+            infinity = 1 if degree == 5 else points[pow(f[-1], (p - 1) // 2, p)]
+            assert count_points(GenusTwoCurve(p=p, f=f), 1) == affine + infinity
 
     @pytest.mark.parametrize("degree", [5, 6])
     def test_irreducible_quadratic_factor(self, degree):
@@ -792,6 +825,26 @@ class TestEnumerateJacobian:
         with pytest.raises(BudgetExceededError):
             enumerate_jacobian(c, budget=100)
 
+    def test_budget_refused_before_the_law_is_built(self, monkeypatch):
+        # the law's inverse table has p entries: it must not be built, and
+        # a call that would build it fails here instead of filling memory
+        p = 2 ** 61 - 1
+        quintic = GenusTwoCurve(p=p, f=(1, 2, 3, 4, 5, 6))
+        sextic = GenusTwoCurve(p=p, f=(1, 2, 3, 4, 5, 6, 7))
+
+        def refuse(q):
+            raise AssertionError(f"built the inverse table at p = {q}")
+
+        monkeypatch.setattr(oracle, "_inverses", refuse)
+        misses = oracle._group_law.cache_info().misses
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="enumeration budget"):
+            enumerate_jacobian(quintic, budget=100)
+        with pytest.raises(InvalidCurveError, match="degree-5"):
+            enumerate_jacobian(sextic, budget=100)
+        assert time.perf_counter() - start < 0.1
+        assert oracle._group_law.cache_info().misses == misses
+
     def test_independent_of_point_counts(self, monkeypatch):
         # the enumeration must not share code with the counting route
         # that scan cross-checks it against
@@ -802,7 +855,8 @@ class TestEnumerateJacobian:
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration used the counting route")
 
-        for name in ("count_points", "_shifted", "char_poly_from_counts"):
+        for name in ("count_points", "_shifted", "_square_counts",
+                     "char_poly_from_counts"):
             monkeypatch.setattr(oracle, name, refuse)
         assert [enumerate_jacobian(c) for c in curves] == want
 
