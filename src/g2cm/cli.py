@@ -2,9 +2,9 @@
 
 Subcommands: field, analyze, charpoly, lemma2, oracle, scan.  Every
 report is a single envelope {command, inputs, results, status[, error]}
-with fixed key order; big integers are emitted as decimal strings so
-consumers never overflow.  Exit codes: 0 success, 1 a checked property
-failed, 2 invalid input.
+with fixed key order; results holds big integers as decimal strings and
+inputs the parsed arguments as JSON numbers, however large.  Exit codes:
+0 success, 1 a checked property failed, 2 invalid input.
 """
 
 from __future__ import annotations

@@ -124,7 +124,11 @@ class GenusTwoCurve:
 
 
 def random_squarefree_quintics(p: int, count: int, seed: int) -> Iterator[Poly]:
-    """count distinct random squarefree quintics over F_p, seeded."""
+    """count distinct random squarefree quintics over F_p, seeded; a count
+    above the (p − 1)(p⁵ − p⁴) that exist raises ValueError."""
+    if count > (total := (p - 1) * (p ** 5 - p ** 4)):
+        raise ValueError(f"count must be at most {total}, the squarefree "
+                         f"quintics over F_{p}, got {count}")
     rng = random.Random(seed)
     seen = set()
     while len(seen) < count:
@@ -272,14 +276,13 @@ class _GroupLaw:
     divisors with a common root are added one point at a time.
     """
 
-    __slots__ = ("p", "inv", "f", "df", "inv_f5")
+    __slots__ = ("p", "inv", "f", "inv_f5")
 
     def __init__(self, curve: GenusTwoCurve) -> None:
         _require_degree_five(curve)
         self.p = curve.p
         self.inv = _inverses(curve.p)
         self.f = curve.f
-        self.df = tuple(reversed(poly_derivative(curve.f, curve.p)))
         self.inv_f5 = self.inv[curve.f[5]]
 
     def neg(self, d: Key) -> Key:
@@ -300,18 +303,26 @@ class _GroupLaw:
     def tangent(self, a: int, y: int) -> Key:
         """2·(a, y) for y ≠ 0: u = (x − a)², v(a) = y, v′(a) = f′(a)/(2y)."""
         p = self.p
-        slope = 0
-        for c in self.df:
-            slope = (slope * a + c) % p
-        v1 = slope * self.inv[2 * y % p] % p
+        _, f1, f2, f3, f4, f5 = self.f
+        slope = (((5 * f5 * a + 4 * f4) * a + 3 * f3) * a + 2 * f2) * a + f1
+        v1 = slope % p * self.inv[2 * y % p] % p
         return (-2 * a % p, a * a % p, v1, (y - v1 * a) % p)
 
     def quotient(self, u1: int, u0: int, v1: int) -> tuple[int, int, int]:
-        """(t2, t1, t0) with (f − v²)/u = f5x³ + t2x² + t1x + t0."""
+        """(t2, t1, t0), unreduced, with (f − v²)/u = f5x³ + t2x² + t1x + t0:
+        the one division by u = x² + u1x + u0; ``remainder`` has the rest."""
         _, _, f2, f3, f4, f5 = self.f
         t2 = f4 - u1 * f5
         t1 = f3 - u1 * t2 - u0 * f5
         return t2, t1, f2 - v1 * v1 - u1 * t1 - u0 * t2
+
+    def remainder(self, u1: int, u0: int, v1: int, v0: int) -> tuple[int, int]:
+        """(r1, r0) mod p with f − v² ≡ r1x + r0 (mod u), from the division
+        by u in ``quotient``: f mod u for v = 0, (0, 0) iff v² ≡ f."""
+        _, t1, t0 = self.quotient(u1, u0, v1)
+        f0, f1, p = self.f[0], self.f[1], self.p
+        return ((f1 - 2 * v1 * v0 - u1 * t0 - u0 * t1) % p,
+                (f0 - v0 * v0 - u0 * t0) % p)
 
     def dbl(self, d: Key) -> Key:
         p, inv = self.p, self.inv
@@ -435,25 +446,17 @@ def _group_law(curve: GenusTwoCurve) -> _GroupLaw:
     return _GroupLaw(curve)
 
 
-def _on_curve(d: Key, curve: GenusTwoCurve) -> bool:
-    """d is a tuple of 0, 2 or 4 ints and, read mod p, v² ≡ f (mod u)."""
+def _on_curve(d: Key, law: _GroupLaw) -> bool:
+    """d is a tuple of 0, 2 or 4 ints and, read mod p, v² ≡ f (mod u):
+    for weight 2, the law's one division by u leaves no remainder."""
     if not isinstance(d, tuple) or len(d) not in (0, 2, 4) or not all(
             isinstance(c, int) for c in d):
         return False
-    p = curve.p
+    p = law.p
     if len(d) == 2:  # v0² = f(b) at the root b = −u0
         u0, v0 = d
-        return (v0 * v0 - poly_eval(curve.f, -u0, p)) % p == 0
-    if not d:
-        return True
-    u1, u0, v1, v0 = d
-    # f mod u by Horner on r = r1x + r0, as in enumerate_divisors, against
-    # v² ≡ (2v0 − u1v1)v1·x + v0² − u0v1² (mod u)
-    r1 = r0 = 0
-    for c in reversed(curve.f):
-        r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
-    return ((2 * v0 - u1 * v1) * v1 - r1) % p == 0 and \
-        (v0 * v0 - u0 * v1 * v1 - r0) % p == 0
+        return (v0 * v0 - poly_eval(law.f, -u0, p)) % p == 0
+    return not d or law.remainder(*d) == (0, 0)
 
 
 def cantor_add(d1: Key, d2: Key, curve: GenusTwoCurve) -> Key:
@@ -464,7 +467,7 @@ def cantor_add(d1: Key, d2: Key, curve: GenusTwoCurve) -> Key:
     """
     law = _group_law(curve)
     for d in (d1, d2):
-        if not _on_curve(d, curve):
+        if not _on_curve(d, law):
             raise InvalidCurveError(f"divisor {d!r} is not a Key on the curve")
     p = curve.p
     return law.add(tuple([c % p for c in d1]), tuple([c % p for c in d2]))
@@ -506,8 +509,9 @@ def enumerate_divisors(curve: GenusTwoCurve) -> list[Key]:
     and v = y for P; the chord through P and Q for a ≠ b, with
     u = (x − a)(x − b); the tangent at P for y ≠ 0 (``_GroupLaw.tangent``).
     A double root of u lies in F_p, so the rest are the irreducible
-    u = x² + u1x + u0: f is reduced mod u and ``_v_solutions`` takes the
-    square root in F_p[x]/(u).
+    u = x² + u1x + u0: f mod u is the group law's one division by u,
+    ``remainder(u1, u0, 0, 0)``, and ``_v_solutions`` takes the square
+    root in F_p[x]/(u).
     """
     law = _group_law(curve)
     p, f, inv = curve.p, curve.f, law.inv
@@ -527,17 +531,12 @@ def enumerate_divisors(curve: GenusTwoCurve) -> list[Key]:
                 for z in zs:
                     v1 = (y - z) * inv_ab % p
                     out.append((u1, u0, v1, (y - v1 * a) % p))
-    top = tuple(reversed(f))
     inv_4 = inv[4 % p]
     non_residues = _non_residues(p)
     for u1 in range(p):
         for d, _, _ in non_residues:  # u1² − 4u0 = d
             u0 = (u1 * u1 - d) * inv_4 % p
-            # f mod u by Horner on r = r1x + r0:
-            #   r·x + c ≡ (r0 − r1u1)x + (c − r1u0)
-            r1 = r0 = 0
-            for c in top:
-                r1, r0 = (r0 - r1 * u1) % p, (c - r1 * u0) % p
+            r1, r0 = law.remainder(u1, u0, 0, 0)  # f mod u
             for v1, v0 in _v_solutions(u1, u0, r1, r0, p, roots, inv):
                 out.append((u1, u0, v1, v0))
     return out

@@ -456,6 +456,12 @@ class TestSquarefreeQuintics:
         every = list(random_squarefree_quintics(3, 324, seed=1))
         assert sorted(every) == sorted(c.f for c in ALL_P3)
 
+    def test_more_draws_than_quintics_raise_before_drawing(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most 324"):
+            next(random_squarefree_quintics(3, 325, 0))
+        assert time.perf_counter() - start < 0.1
+
 
 class TestCountPoints:
     def test_f3_quintic_k1(self):
@@ -718,15 +724,16 @@ class TestCantorAdd:
 
     def test_on_curve_matches_reference_on_every_divisor_at_three(self):
         for curve in ALL_P3:
+            law = oracle._group_law(curve)
             for d in enumerate_divisors(curve):
-                assert oracle._on_curve(d, curve) and on_curve_reference(d, curve)
+                assert oracle._on_curve(d, law) and on_curve_reference(d, curve)
                 if not d:
                     continue
                 # d with unreduced coefficients, and with v0 moved by one
                 n = len(d) // 2
                 unreduced = tuple(c - 3 for c in d[:n]) + tuple(c + 3 for c in d[n:])
                 for e in (unreduced, d[:-1] + ((d[-1] + 1) % 3,)):
-                    assert oracle._on_curve(e, curve) == on_curve_reference(e, curve)
+                    assert oracle._on_curve(e, law) == on_curve_reference(e, curve)
 
     def test_on_curve_matches_reference_on_malformed_input(self):
         coeffs = (-1, 0, 1, 2, 5)  # -1 and 5 are unreduced at p = 3 and 5
@@ -738,8 +745,9 @@ class TestCantorAdd:
         keys += [list(k) for k in keys[:31]]
         reached = Counter()
         for curve in ALL_P3[:2] + [random_squarefree_quintic(5, random.Random(3))]:
+            law = oracle._group_law(curve)
             for d in keys:
-                ok = oracle._on_curve(d, curve)
+                ok = oracle._on_curve(d, law)
                 assert ok == on_curve_reference(d, curve), (d, curve)
                 if not isinstance(d, tuple):
                     reached["not a tuple"] += 1
@@ -1115,6 +1123,53 @@ class TestExplicitLaw:
     def test_cantor_add_reads_keys_mod_p(self):
         # x + 4 = x + 1 and v = 3 = 0 over F₃
         assert cantor_add((4, 3), (), C3) == (1, 0)
+
+    @staticmethod
+    def remainder_reference(d: Key, curve: GenusTwoCurve) -> tuple[int, int]:
+        """f − v² mod u on polynomials, as (r1, r0)."""
+        u, v = polys(tuple(c % curve.p for c in d))
+        r = poly_mod(poly_sub(curve.f, poly_mul(v, v, curve.p), curve.p),
+                     u, curve.p) + (0, 0)
+        return r[1], r[0]
+
+    def test_remainder_on_every_key_at_three(self):
+        for c in ALL_P3:
+            law = _GroupLaw(c)
+            for d in product(range(3), repeat=4):
+                assert law.remainder(*d) == self.remainder_reference(d, c), (c, d)
+
+    def test_remainder_on_unreduced_keys(self):
+        rng = random.Random(67)
+        reached = Counter()
+        for p in (5, 7, 47):
+            for _ in range(3):
+                c = random_squarefree_quintic(p, rng)
+                law = _GroupLaw(c)
+                for _ in range(300):
+                    d = tuple(rng.randrange(-2 * p, 2 * p) for _ in range(4))
+                    assert law.remainder(*d) == self.remainder_reference(d, c)
+                    u1, u0 = d[:2]
+                    split = pow(u1 * u1 - 4 * u0, (p - 1) // 2, p) != p - 1
+                    reached["reducible u" if split else "irreducible u"] += 1
+                    reached["unreduced"] += any(not 0 <= x < p for x in d)
+        assert set(reached) == {"reducible u", "irreducible u", "unreduced"}
+
+    def test_tangent_slope_is_the_derivative(self):
+        rng = random.Random(71)
+        points = 0
+        for p in (3, 5, 7, 11, 23, 47):
+            for _ in range(3):
+                c = random_squarefree_quintic(p, rng)
+                law, df = _GroupLaw(c), poly_derivative(c.f, p)
+                for a, y in product(range(p), range(1, p)):
+                    if y * y % p != poly_eval(c.f, a, p):
+                        continue
+                    u1, u0, v1, v0 = law.tangent(a, y)
+                    assert (u1, u0) == (-2 * a % p, a * a % p)
+                    assert 2 * y * v1 % p == poly_eval(df, a, p)
+                    assert (v1 * a + v0) % p == y
+                    points += 1
+        assert points > 200
 
 
 class TestStructureFromTorsion:
