@@ -28,6 +28,7 @@ from .oracle import (
     count_points,
     enumerate_jacobian,
     random_squarefree_quintics,
+    squarefree_quintic_count,
 )
 from .sylow import analyze, verify_lemma2
 
@@ -176,7 +177,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
 
 def cmd_scan(args) -> tuple[dict, int]:
     check_odd_prime(args.p)
-    total = (args.p - 1) * (args.p ** 5 - args.p ** 4)  # squarefree quintics
+    total = squarefree_quintic_count(args.p)
     if not args.all and not 1 <= args.count <= total:
         raise InvalidArgumentError(
             f"--count must be between 1 and {total}, the number of "

@@ -62,10 +62,8 @@ def poly_derivative(a: Poly, p: int) -> Poly:
     return _trim([i * a[i] % p for i in range(1, len(a))])
 
 
-def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
-    """The monic gcd of a and b: Euclid on int lists that keeps only the
-    remainders, with one inverse per divisor and nothing of size O(p)."""
-    r, s = list(a), list(b)
+def _euclid(r: list[int], s: list[int], p: int) -> list[int]:
+    """Euclid on int lists with s[-1] ≠ 0: the last nonzero remainder."""
     while s:
         n = len(s) - 1
         inv = pow(s[n], -1, p)
@@ -78,15 +76,20 @@ def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
         while r and not r[-1]:
             r.pop()
         r, s = s, r
-    if not r:
-        return ()
-    inv = pow(r[-1], -1, p)
+    return r
+
+
+def poly_gcd(a: Poly, b: Poly, p: int) -> Poly:
+    """The monic gcd of a and b, by ``_euclid``."""
+    r = _euclid(list(a), list(b), p)
+    inv = pow(r[-1], -1, p) if r else 0
     return tuple(c * inv % p for c in r)
 
 
 def poly_is_squarefree(a: Poly, p: int) -> bool:
-    """True iff a has no repeated root over the algebraic closure of F_p."""
-    return len(poly_gcd(a, poly_derivative(a, p), p)) == 1
+    """True iff a has no repeated root: gcd(a′, a) is a nonzero constant."""
+    da = [i * a[i] % p for i in range(1, len(a))]  # may end in zeros mod p
+    return len(_euclid(da, list(a), p)) == 1
 
 
 # ------------------------------------------------------------------ curve
@@ -105,17 +108,17 @@ class GenusTwoCurve:
     f: Poly
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not all(
-                isinstance(c, int) for c in self.f):
+        if not isinstance(p := self.p, int) or not all(
+                [isinstance(c, int) for c in self.f]):
             raise InvalidCurveError("p and the coefficients of f must be ints")
-        check_odd_prime(self.p)
-        f = _trim([c % self.p for c in self.f])
+        check_odd_prime(p)
+        f = _trim([c % p for c in self.f])
         object.__setattr__(self, "f", f)
         if len(f) - 1 not in (5, 6):
             raise InvalidCurveError(
                 f"deg f must be 5 or 6, got {len(f) - 1 if f else '-inf'}"
             )
-        if not poly_is_squarefree(f, self.p):
+        if not poly_is_squarefree(f, p):
             raise InvalidCurveError("f has a repeated root over F_p")
 
     @property
@@ -123,10 +126,15 @@ class GenusTwoCurve:
         return len(self.f) - 1
 
 
+def squarefree_quintic_count(p: int) -> int:
+    """The number (p − 1)(p⁵ − p⁴) of squarefree quintics over F_p."""
+    return (p - 1) * (p ** 5 - p ** 4)
+
+
 def random_squarefree_quintics(p: int, count: int, seed: int) -> Iterator[Poly]:
     """count distinct random squarefree quintics over F_p, seeded; a count
     above the (p − 1)(p⁵ − p⁴) that exist raises ValueError."""
-    if count > (total := (p - 1) * (p ** 5 - p ** 4)):
+    if count > (total := squarefree_quintic_count(p)):
         raise ValueError(f"count must be at most {total}, the squarefree "
                          f"quintics over F_{p}, got {count}")
     rng = random.Random(seed)
@@ -209,13 +217,13 @@ def count_points(curve: GenusTwoCurve, k: int) -> int:
         )
     s = _square_counts(p)
     # f padded to degree 6; for k = 2 these are f(s − h), from h = 0
-    g0, g1, g2, g3, g4, g5, g6 = f + (0,) * (6 - curve.degree)
+    g0, g1, g2, g3, g4, g5, g6 = f if len(f) == 7 else f + (0,)
     if k == 1:  # Horner on the locals, reduced once per x
         total = sum([s[((((((g6 * x + g5) * x + g4) * x + g3) * x + g2) * x
                            + g1) * x + g0) % p] for x in range(p)])
-        return total + (1 if curve.degree == 5 else s[f[-1]])
+        return total + (s[g6] if g6 else 1)  # at infinity
     powers = _non_residues(p)
-    total = 1 if curve.degree == 5 else 2
+    total = 2 if g6 else 1
     for _ in range(p):
         total += (2 if g0 else 1) + 2 * sum([
             s[((g0 + g2 * d + g4 * d2 + g6 * d3) ** 2
@@ -239,7 +247,7 @@ def char_poly_from_counts(N1: int, N2: int, p: int) -> FrobeniusPoly:
             f"inconsistent counts N1={N1}, N2={N2} (odd 2·s2 = {twice_s2})"
         )
     s2 = twice_s2 // 2
-    return FrobeniusPoly(a0=p * p, a1=-p * s1, a2=s2, a3=-s1, p=p)
+    return FrobeniusPoly(p * p, -p * s1, s2, -s1, p)  # a0, a1, a2, a3, p
 
 
 # ------------------------------------------------ divisors and group law
@@ -514,10 +522,12 @@ def enumerate_divisors(curve: GenusTwoCurve) -> list[Key]:
     root in F_p[x]/(u).
     """
     law = _group_law(curve)
-    p, f, inv = curve.p, curve.f, law.inv
+    p, inv = curve.p, law.inv
+    f0, f1, f2, f3, f4, f5 = curve.f
     roots = _sqrt_table(p)
     # the x-coordinates of affine points, each with its y, ascending
-    fibres = [(a, ys) for a in range(p) if (ys := roots[poly_eval(f, a, p)])]
+    fibres = [(a, ys) for a in range(p) if (ys := roots[
+        (((((f5 * a + f4) * a + f3) * a + f2) * a + f1) * a + f0) % p])]
     out: list[Key] = [()]
     for i, (a, ys) in enumerate(fibres):
         for y in ys:
@@ -597,21 +607,20 @@ def _invariant_factors_from_torsion(
         torsion: dict[int, list[int]]) -> tuple[int, ...]:
     """Invariant factors of the abelian group of order ∏ q^e, ascending.
 
-    ``n_factors`` maps each prime q | N to its exponent e.  ``torsion[q]``
-    lists #G[q^k] for k = 1, 2, … for every q with e ≥ 2, ending at the
-    first #G[q^k] = q^e; a prime with e = 1 contributes Z/q.  The rank
-    log_q(#G[q^k] / #G[q^(k−1)]) is the number of cyclic factors of
-    order ≥ q^k, which gives the q-parts of the factors; the i-th largest
-    invariant factor is the product over q of the i-th largest q-part.
+    ``n_factors`` maps each prime q | N to its exponent e; if every e is
+    1, the group is Z/N by CRT.  Otherwise ``torsion[q]`` lists #G[q^k],
+    k = 1, 2, …, up to the first equal to q^e, for every q with e ≥ 2.
+    The rank log_q(#G[q^k] / #G[q^(k−1)]) is the number of cyclic factors
+    of order ≥ q^k, which gives the q-parts; the i-th largest invariant
+    factor is the product over q of the i-th largest q-part.
     """
-    # the primes with e = 1 all go into the largest factor
-    squarefree = math.prod(q for q, e in n_factors.items() if e == 1)
-    q_parts = [[squarefree]] if squarefree > 1 else []
+    if max(n_factors.values(), default=1) == 1:  # Z/N by CRT
+        return (math.prod(n_factors),) if n_factors else ()
+    q_parts = []
     for q, e in n_factors.items():
-        if e == 1:
-            continue
+        counts = torsion.get(q, [q])  # #G[q] = q for e = 1
         logs = [0]  # log_q #G[q^k] for k = 0, 1, …; −1 if not a power of q
-        for n in torsion[q]:
+        for n in counts:
             k = 0
             while n > 1 and n % q == 0:
                 n, k = n // q, k + 1
@@ -620,7 +629,7 @@ def _invariant_factors_from_torsion(
         if (logs[-1] != e or not ranks or min(ranks) < 1
                 or ranks != sorted(ranks, reverse=True)):
             raise InternalInvariantError(
-                f"#G[{q}^k] = {torsion[q]} are not the torsion counts "
+                f"#G[{q}^k] = {counts} are not the torsion counts "
                 f"of an abelian group with {q}-part {q ** e}"
             )
         # the i-th largest cyclic q-factor has order q^#{k : ranks[k] > i}
@@ -637,11 +646,11 @@ def enumerate_jacobian(curve: GenusTwoCurve,
                        budget: int = DEFAULT_BUDGET) -> GroupStructure:
     """Full group structure of Jac(C)(F_p) by exhaustive enumeration.
 
-    The order is the number of enumerated divisors; the structure comes
-    from q^k-torsion counts for the primes q with q² | N, so a squarefree
-    order costs no group operation.  #G[2] is the number of enumerated
-    Keys with v = 0, as −(u, v) = (u, −v mod u) and p is odd; it checks
-    the doubling map, and replaces it when the 2-part is elementary.
+    The order is the number of enumerated divisors; a squarefree order is
+    read off as Z/N, and otherwise the structure comes from q^k-torsion
+    counts for the primes q with q² | N.  #G[2] is the number of Keys
+    with v = 0, as −(u, v) = (u, −v mod u) and p is odd; it checks the
+    doubling map, and replaces it when the 2-part is elementary.
     Requires the degree-5 model and (√p + 1)⁴ within the budget, checked
     before the group law builds its tables of size p.
     """

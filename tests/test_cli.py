@@ -245,6 +245,9 @@ class TestScanCommand:
         code, env = run_cli(capsys, "scan", "-p", "3", "--count", count)
         assert code == 2
         assert env["error"]["code"] == "invalid-argument"
+        assert env["error"]["message"] == (
+            "--count must be between 1 and 324, the number of squarefree "
+            f"quintics at p = 3, got {count}")
 
     def test_count_up_to_every_curve(self, capsys):
         code, env = run_cli(capsys, "scan", "-p", "3", "--count", "324")

@@ -45,6 +45,7 @@ from g2cm.oracle import (
     poly_gcd,
     poly_is_squarefree,
     random_squarefree_quintics,
+    squarefree_quintic_count,
 )
 
 
@@ -438,12 +439,50 @@ class TestSquarefreeQuintics:
             if poly_is_squarefree(tail + (lead,), 3)]
 
     def test_predicate_matches_factorization(self):
+        # every polynomial of degree ≤ 6 over F₃, so every quintic and sextic
         x = sympy.Symbol("x")
         for f in product(range(3), repeat=7):
             if any(f):
+                a = _trim(list(f))
                 _, factors = sympy.Poly(f[::-1], x, modulus=3).factor_list()
                 expected = all(e == 1 for _, e in factors)
-                assert poly_is_squarefree(_trim(list(f)), 3) == expected, f
+                assert poly_is_squarefree(a, 3) == expected, f
+                df = poly_derivative(a, 3)
+                assert (len(poly_gcd_reference(a, df, 3)) == 1) == expected, f
+
+    def test_predicate_matches_the_reference_euclid(self):
+        rng = random.Random(73)
+        reached = Counter()
+        for p in (5, 7, 47):
+            g = (-non_residue(p) % p, 0, 1)  # x² − d, irreducible
+            cases = [((), "zero"), ((1,), "constant"), (g, "g")]
+            for _ in range(400):
+                degree = rng.choice((5, 6))
+                f = random_squarefree(p, degree, rng) if rng.randrange(2) else (
+                    tuple(rng.randrange(p) for _ in range(degree))
+                    + (rng.randrange(1, p),))
+                kind = rng.choice(("drawn", "f(0) = 0", "g²·h"))
+                if kind == "f(0) = 0":
+                    f = (0,) + f[1:]
+                elif kind == "g²·h":
+                    f = poly_mul(poly_mul(g, g, p), f[:degree - 3], p)
+                cases.append((f, kind))
+            for f, kind in cases:
+                want = len(poly_gcd_reference(f, poly_derivative(f, p), p)) == 1
+                assert poly_is_squarefree(f, p) == want, (f, p)
+                reached[kind, want] += 1
+                # 5·f5 ≡ 0, so f′ has degree below 4
+                reached["quintic at p = 5"] += p == 5 and len(f) == 6
+        assert reached["g²·h", False] and not reached["g²·h", True]
+        assert all(reached[kind, want] for kind in ("drawn", "f(0) = 0")
+                   for want in (True, False)), reached
+        assert reached["zero", False] == reached["constant", True] == 3
+        assert reached["g", True] == 3 and reached["quintic at p = 5"]
+
+    @pytest.mark.parametrize("p, total", [(3, 324), (5, 10_000)])
+    def test_count_is_the_number_generated(self, p, total):
+        assert squarefree_quintic_count(p) == total
+        assert sum(1 for _ in all_squarefree_quintics(p)) == total
 
     def test_random_draws_are_fixed_by_the_seed(self):
         drawn = list(random_squarefree_quintics(5, 40, seed=0))
@@ -1197,6 +1236,44 @@ class TestStructureFromTorsion:
                   for p in (5, 7) for c in nonsquarefree_curves(p, 3)]
         assert any(len(inv) > 1 for inv in shapes)
 
+    def test_squarefree_orders_are_cyclic(self):
+        # Z/N is the group with some D of order N: (N/q)·D ≠ 0 for all q | N
+        rng = random.Random(79)
+        curves = ALL_P3 + [random_squarefree_quintic(p, rng)
+                           for p in (5, 7, 23) for _ in range(12)]
+        cyclic = Counter()
+        for c in curves:
+            elems = enumerate_divisors(c)
+            N = len(elems)
+            primes = sympy.factorint(N)
+            if any(e > 1 for e in primes.values()):
+                continue
+            law = _GroupLaw(c)
+            assert enumerate_jacobian(c) == oracle.GroupStructure(
+                N, (N,), (c.p,) if N % c.p == 0 else ())
+            assert any(all(law.mul(N // q, d) for q in primes)
+                       for d in elems), c
+            cyclic[c.p] += 1
+        assert cyclic == {3: 324 - 168, 5: 3, 7: 4, 23: 5}
+
+    def test_squarefree_orders_need_no_torsion_count(self, monkeypatch):
+        rng = random.Random(83)
+        curves = [(GenusTwoCurve(p=p, f=f), N) for p, f, N in LARGE_CURVES]
+        for p in (5, 7):
+            for _ in range(12):
+                c = random_squarefree_quintic(p, rng)
+                N = len(enumerate_divisors(c))
+                if max(sympy.factorint(N).values()) == 1:
+                    curves.append((c, N))
+        assert len(curves) > 10
+
+        def refuse(*args):
+            raise AssertionError("a torsion count for a squarefree order")
+
+        monkeypatch.setattr(oracle, "_torsion_counts", refuse)
+        for c, N in curves:
+            assert enumerate_jacobian(c).invariant_factors == (N,)
+
     @pytest.mark.parametrize("factors", [
         (), (9,), (3, 9), (2, 2, 4, 12), (4, 8, 8), (6, 6), (2, 2, 10),
         (5, 25, 100),
@@ -1226,6 +1303,7 @@ class TestStructureFromTorsion:
         ({7: 1}, {}, (7,)),
         ({2: 2, 3: 1, 5: 1}, {2: [4]}, (2, 30)),
         ({2: 1, 3: 2, 5: 1}, {3: [3, 9]}, (90,)),
+        ({2: 1, 3: 1, 5: 1}, {}, (30,)),
     ])
     def test_squarefree_part_goes_into_the_largest_factor(self, n_factors,
                                                           torsion, factors):
